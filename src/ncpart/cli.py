@@ -46,7 +46,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -123,8 +122,6 @@ _VERIFY_DEFAULT_ORDER: dict[str, int] = {
     "thm3.5": 13,
 }
 
-_POOL_WORKERS = max(1, min(4, os.cpu_count() or 1))
-
 
 # ---------------------------------------------------------------------------
 # Run configuration
@@ -174,6 +171,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     no_cache = getattr(args, "no_cache", False)
     cache_dir = None if no_cache else os.environ.get("NCPART_CACHE") or None
     v_value = getattr(args, "v", None)
+    if v_value is not None:
+        try:
+            v_value = Fraction(v_value)
+        except ZeroDivisionError:
+            raise ValueError(f"--v {v_value} has a zero denominator") from None
     n_range = getattr(args, "n_range", None)
     if n_range is not None:
         n_range = _parse_range(n_range)
@@ -188,7 +190,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         n=getattr(args, "n", None),
         order=getattr(args, "order", None),
         method=getattr(args, "method", None),
-        v_value=Fraction(v_value) if v_value is not None else None,
+        v_value=v_value,
         fmt=getattr(args, "fmt", "text"),
         cache_dir=cache_dir,
         out=getattr(args, "out", None),
@@ -996,10 +998,7 @@ def run_verify_target(target: str, order: int) -> dict:
     """Run one verification target; the report lists every checked cell."""
     if not 2 <= order <= 16:
         raise ValueError("order must be between 2 and 16")
-    groups = _TARGET_BUILDERS[target](order)
-    with ThreadPoolExecutor(max_workers=_POOL_WORKERS) as pool:
-        cell_lists = list(pool.map(lambda group: group(), groups))
-    cells = [cell for cell_list in cell_lists for cell in cell_list]
+    cells = [cell for group in _TARGET_BUILDERS[target](order) for cell in group()]
     status = "pass" if all(c["status"] == "pass" for c in cells) else "fail"
     return {"target": target, "order": order, "status": status, "cells": cells}
 
@@ -1022,6 +1021,13 @@ def cmd_verify(cfg: RunConfig) -> int:
     target = cfg.target
     if target is None:
         raise ValueError("verify needs --target")
+    if cfg.out:
+        # fail before the suite runs, not after
+        try:
+            with open(cfg.out, "a", encoding="utf-8"):
+                pass
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {cfg.out}: {exc.strerror}") from None
     if target == "all":
         reports = [
             run_verify_target(t, cfg.order or _VERIFY_DEFAULT_ORDER[t])

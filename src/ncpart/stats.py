@@ -2,10 +2,12 @@
 and their exact distributions as marker polynomials.
 
 The distribution builders never materialize the partitions.  One depth-first
-walk over the prefix tree carries running occurrence counters down each
-branch and folds a histogram at every node, so a single pass produces the
-rows for every size up to the requested bound — and a joint distribution
-needs exactly one pass, never one per pattern.
+walk over the prefix tree carries the nonzero occurrence counts down each
+branch and records them at every node, so a single pass produces the rows
+for every size up to the requested bound — and a joint distribution needs
+exactly one pass, never one per pattern.  Each node looks its trailing
+window up once in a memo of the words it matches, so the cost per node
+does not grow with the number of patterns in a batch.
 """
 
 from __future__ import annotations
@@ -128,182 +130,102 @@ def _check_size(n: int) -> None:
         )
 
 
-def _walk_separate(
-    n_max: int, words: tuple[Letters, ...]
-) -> list[list[dict[int, int]]]:
-    """hist[p][k][c] = number of size-k partitions with c occurrences of
-    words[p].  One walk serves every pattern and every k <= n_max."""
-    num = len(words)
-    pairs = [_pair_constraints(w) for w in words]
-    lengths = [len(w) for w in words]
-    hists: list[list[dict[int, int]]] = [
-        [dict() for _ in range(n_max + 1)] for _ in range(num)
-    ]
-    counts = [0] * num
-    letters: list[int] = []
-    stack: list[int] = []
-
-    def record(depth: int) -> None:
-        for p in range(num):
-            h = hists[p][depth]
-            c = counts[p]
-            h[c] = h.get(c, 0) + 1
-
-    def extend(v: int, depth: int) -> list[int]:
-        letters.append(v)
-        bumped = []
-        for p in range(num):
-            length = lengths[p]
-            if depth >= length and _window_matches(letters, depth - length, pairs[p]):
-                counts[p] += 1
-                bumped.append(p)
-        return bumped
-
-    def retract(bumped: list[int]) -> None:
-        letters.pop()
-        for p in bumped:
-            counts[p] -= 1
-
-    def walk(depth: int, maximum: int) -> None:
-        record(depth)
-        if depth == n_max:
-            return
-        candidates = tuple(stack)
-        for idx, v in enumerate(candidates):
-            bumped = extend(v, depth + 1)
-            tail = stack[idx + 1 :]
-            del stack[idx + 1 :]
-            walk(depth + 1, maximum)
-            stack.extend(tail)
-            retract(bumped)
-        v = maximum + 1
-        bumped = extend(v, depth + 1)
-        stack.append(v)
-        walk(depth + 1, v)
-        stack.pop()
-        retract(bumped)
-
-    walk(0, 0)
-    return hists
+def _standardise(window: Letters) -> Letters:
+    """The pattern word order-isomorphic to window."""
+    ranks = {v: r for r, v in enumerate(sorted(set(window)), 1)}
+    return tuple(ranks[v] for v in window)
 
 
-def _walk_joint(
-    n_max: int, word1: Letters, word2: Letters
-) -> list[dict[tuple[int, int], int]]:
-    """hist[k][(c1, c2)] = number of size-k partitions with c1 occurrences
-    of word1 and c2 of word2 — computed jointly in one pass."""
-    pairs1 = _pair_constraints(word1)
-    pairs2 = _pair_constraints(word2)
-    len1, len2 = len(word1), len(word2)
-    hists: list[dict[tuple[int, int], int]] = [dict() for _ in range(n_max + 1)]
-    letters: list[int] = []
-    stack: list[int] = []
+def _walk(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
+    """Histogram tables of every size k <= n_max, from one walk.
 
-    def walk(depth: int, maximum: int, c1: int, c2: int) -> None:
-        h = hists[depth]
-        key = (c1, c2)
-        h[key] = h.get(key, 0) + 1
-        if depth == n_max:
-            return
-        candidates = tuple(stack) + (maximum + 1,)
-        for idx, v in enumerate(candidates):
-            fresh = idx == len(candidates) - 1
-            letters.append(v)
-            d = depth + 1
-            n1 = c1 + (
-                1 if d >= len1 and _window_matches(letters, d - len1, pairs1) else 0
-            )
-            n2 = c2 + (
-                1 if d >= len2 and _window_matches(letters, d - len2, pairs2) else 0
-            )
-            if fresh:
-                stack.append(v)
-                walk(d, v, n1, n2)
-                stack.pop()
-            else:
-                tail = stack[idx + 1 :]
-                del stack[idx + 1 :]
-                walk(d, maximum, n1, n2)
-                stack.extend(tail)
-            letters.pop()
+    "separate": tables[k][p][c] = number of size-k prefixes with c
+    occurrences of words[p].  "joint" and "rep": tables[k][(c0, c1, r)] =
+    number of size-k prefixes with c0 occurrences of words[0], c1 of
+    words[1] (0 if absent) and smallest repeated letter r ("rep" only; 0
+    when nothing repeats).
 
-    walk(0, 0, 0, 0)
-    return hists
+    A node carries only its nonzero counts, {word index: count}.  A window
+    is order-isomorphic to at most one word of each length, so each node
+    costs one lookup of its trailing window in a memo, however many words
+    there are.  Except in "rep" mode a node records only nonzero counts,
+    and each count-0 cell is the walk's own node count at that size minus
+    the cells recorded there.
+    """
+    separate = mode == "separate"
+    track_rep = mode == "rep"
+    longest = max((len(w) for w in words), default=0)
+    by_length: dict[int, dict[Letters, list[int]]] = {}
+    for p, word in enumerate(words):
+        by_length.setdefault(len(word), {}).setdefault(word, []).append(p)
+    matches: dict[Letters, tuple[int, ...]] = {}
 
+    def match(window: Letters) -> tuple[int, ...]:
+        found: list[int] = []
+        for length, table in by_length.items():
+            if length <= len(window):
+                found += table.get(_standardise(window[len(window) - length :]), ())
+        matches[window] = hits = tuple(found)
+        return hits
 
-def _walk_rep(n_max: int, word: Letters) -> list[dict[tuple[int, int], int]]:
-    """hist[k][(c, r)] = number of size-k partitions with c occurrences of
-    the pattern and smallest repeated letter r (0 when nothing repeats)."""
-    pairs = _pair_constraints(word)
-    length = len(word)
-    hists: list[dict[tuple[int, int], int]] = [dict() for _ in range(n_max + 1)]
-    letters: list[int] = []
-    stack: list[int] = []
-
-    def walk(depth: int, maximum: int, count: int, repeated: int) -> None:
-        h = hists[depth]
-        key = (count, repeated)
-        h[key] = h.get(key, 0) + 1
-        if depth == n_max:
-            return
-        candidates = tuple(stack) + (maximum + 1,)
-        for idx, v in enumerate(candidates):
-            fresh = idx == len(candidates) - 1
-            letters.append(v)
-            d = depth + 1
-            c = count + (
-                1 if d >= length and _window_matches(letters, d - length, pairs) else 0
-            )
-            if fresh:
-                stack.append(v)
-                walk(d, v, c, repeated)
-                stack.pop()
-            else:
-                r = v if repeated == 0 or v < repeated else repeated
-                tail = stack[idx + 1 :]
-                del stack[idx + 1 :]
-                walk(d, maximum, c, r)
-                stack.extend(tail)
-            letters.pop()
-
-    walk(0, 0, 0, 0)
-    return hists
+    tables: list = [[{} for _ in words] if separate else {} for _ in range(n_max + 1)]
+    nodes = [1] + [0] * n_max
+    if track_rep:
+        tables[0][0, 0, 0] = 1
+    # Nodes still to expand, depth-first: (depth, largest letter, letters
+    # that may repeat, trailing window, nonzero counts, r).
+    todo: list = [(0, 0, (), (), {}, 0)] if n_max else []
+    while todo:
+        depth, maximum, stack, window, active, r = todo.pop()
+        depth += 1
+        h = tables[depth]
+        deeper = depth < n_max
+        full = len(window) == longest
+        fresh = maximum + 1
+        nodes[depth] += len(stack) + 1
+        for idx, v in enumerate(stack + (fresh,)):
+            w = window[1:] + (v,) if full else window + (v,)
+            hits = matches.get(w)
+            if hits is None:
+                hits = match(w)
+            a = active
+            if hits:
+                a = active.copy()
+                for p in hits:
+                    a[p] = a.get(p, 0) + 1
+            r2 = v if track_rep and v != fresh and (r == 0 or v < r) else r
+            if separate:
+                for p, c in a.items():
+                    cells = h[p]
+                    cells[c] = cells.get(c, 0) + 1
+            elif a or track_rep:
+                key = (a.get(0, 0), a.get(1, 0), r2)
+                h[key] = h.get(key, 0) + 1
+            if deeper:
+                if v == fresh:
+                    todo.append((depth, v, stack + (v,), w, a, r2))
+                else:
+                    todo.append((depth, maximum, stack[: idx + 1], w, a, r2))
+    for level, count in zip(tables, nodes):
+        if separate:
+            for cells in level:
+                cells[0] = count - sum(cells.values())
+        elif not track_rep:
+            level[0, 0, 0] = count - sum(level.values())
+    return tables
 
 
-# Caches keyed by the request shape; values are (n_max, histogram data).
-_SEPARATE_CACHE: dict[tuple[Letters, ...], tuple[int, list[list[dict[int, int]]]]] = {}
-_JOINT_CACHE: dict[tuple[Letters, Letters], tuple[int, list[dict[tuple[int, int], int]]]] = {}
-_REP_CACHE: dict[Letters, tuple[int, list[dict[tuple[int, int], int]]]] = {}
+# Tables keyed by (mode, words); values are (n_max, tables[k] for k <= n_max).
+_CACHE: dict[tuple[str, tuple[Letters, ...]], tuple[int, list]] = {}
 
 
-def _separate_hists(n_max: int, words: tuple[Letters, ...]) -> list[list[dict[int, int]]]:
-    cached = _SEPARATE_CACHE.get(words)
-    if cached is not None and cached[0] >= n_max:
-        return [rows[: n_max + 1] for rows in cached[1]]
-    hists = _walk_separate(n_max, words)
-    _SEPARATE_CACHE[words] = (n_max, hists)
-    return hists
-
-
-def _joint_hists(
-    n_max: int, word1: Letters, word2: Letters
-) -> list[dict[tuple[int, int], int]]:
-    key = (word1, word2)
-    cached = _JOINT_CACHE.get(key)
+def _tables(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
+    cached = _CACHE.get((mode, words))
     if cached is not None and cached[0] >= n_max:
         return cached[1][: n_max + 1]
-    hists = _walk_joint(n_max, word1, word2)
-    _JOINT_CACHE[key] = (n_max, hists)
-    return hists
-
-
-def _rep_hists(n_max: int, word: Letters) -> list[dict[tuple[int, int], int]]:
-    cached = _REP_CACHE.get(word)
-    if cached is not None and cached[0] >= n_max:
-        return cached[1][: n_max + 1]
-    hists = _walk_rep(n_max, word)
-    _REP_CACHE[word] = (n_max, hists)
-    return hists
+    tables = _walk(mode, n_max, words)
+    _CACHE[mode, words] = (n_max, tables)
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -358,26 +280,20 @@ def batch_distribution_rows(
     """Occurrence distributions for many patterns from one shared walk."""
     _check_size(n_max)
     words = tuple(as_pattern(t).word for t in taus)
-    hists = _separate_hists(n_max, words)
-    out = []
-    for p in range(len(words)):
-        rows = [
-            MultiPoly({(c, 0, 0): mult for c, mult in hist.items()})
-            for hist in hists[p]
-        ]
-        out.append(rows)
-    return out
+    levels = _tables("separate", n_max, words)
+    return [
+        [MultiPoly({(c, 0, 0): m for c, m in level[p].items()}) for level in levels]
+        for p in range(len(words))
+    ]
 
 
 def joint_rows(n_max: int, tau1: PatternLike, tau2: PatternLike) -> list[MultiPoly]:
     """Joint distributions: tau1 marked by p, tau2 marked by q."""
     _check_size(n_max)
-    word1 = as_pattern(tau1).word
-    word2 = as_pattern(tau2).word
-    hists = _joint_hists(n_max, word1, word2)
+    words = (as_pattern(tau1).word, as_pattern(tau2).word)
     return [
-        MultiPoly({(c2, c1, 0): mult for (c1, c2), mult in hist.items()})
-        for hist in hists
+        MultiPoly({(c2, c1, 0): mult for (c1, c2, _), mult in table.items()})
+        for table in _tables("joint", n_max, words)
     ]
 
 
@@ -385,12 +301,8 @@ def rep_joint_rows(n_max: int, tau: PatternLike) -> list[MultiPoly]:
     """Joint distributions: occurrences marked by q, smallest repeated
     letter marked by v (exponent 0 when nothing repeats)."""
     _check_size(n_max)
-    word = as_pattern(tau).word
-    hists = _rep_hists(n_max, word)
-    return [
-        MultiPoly({(c, 0, r): mult for (c, r), mult in hist.items()})
-        for hist in hists
-    ]
+    words = (as_pattern(tau).word,)
+    return [MultiPoly(table) for table in _tables("rep", n_max, words)]
 
 
 def distribution(n: int, tau: PatternLike) -> MultiPoly:

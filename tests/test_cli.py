@@ -128,6 +128,16 @@ def test_series_v_marker_requires_staircase_tail(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_series_v_zero_denominator_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "series", "--family", "staircase-tail", "--m", "2", "--a", "2",
+        "--order", "5", "--v", "1/0",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_pattern_and_family_are_exclusive(capsys):
     code, _, err = run_cli(
         capsys,
@@ -317,6 +327,22 @@ def test_verify_target_passes_and_writes_report(capsys, tmp_path):
     assert report["cells"] and all(
         c["status"] == "pass" for c in report["cells"]
     )
+
+
+def test_verify_unwritable_out_fails_before_the_suite(capsys, tmp_path, monkeypatch):
+    import ncpart.cli
+
+    def suite_must_not_run(target, order):
+        raise AssertionError("the suite ran before --out was checked")
+
+    monkeypatch.setattr(ncpart.cli, "run_verify_target", suite_must_not_run)
+    code, out, err = run_cli(
+        capsys,
+        "verify", "--target", "table1", "--order", "6",
+        "--out", str(tmp_path / "missing" / "report.json"),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "report.json" in err
 
 
 def test_verify_order_out_of_bounds(capsys):

@@ -1,5 +1,7 @@
 """Brute-force statistics: occurrence counts and distribution tables."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from ncpart.algebra import MultiPoly
 from ncpart.core import catalan, enumerate_nc
 from ncpart.errors import EmptyPartition, LimitExceeded
+from ncpart import stats
 from ncpart.stats import (
     ascent_count,
     batch_distribution_rows,
@@ -155,6 +158,82 @@ def test_rep_joint_distribution_markers():
         for pi in enumerate_nc(n):
             expected = expected + Q ** count_subword(pi, "122") * V ** rep(pi)
         assert rows[n] == expected
+
+
+# ---------------------------------------------------------------------------
+# The prefix walk against a per-partition oracle
+# ---------------------------------------------------------------------------
+
+
+def _standard(letters):
+    ranks = {v: r for r, v in enumerate(sorted(set(letters)), 1)}
+    return "".join(str(ranks[v]) for v in letters)
+
+
+words_1_to_5 = st.lists(st.integers(1, 5), min_size=1, max_size=5).map(_standard)
+
+
+def oracle_rows(n, exponents):
+    """Rows summed partition by partition over enumerate_nc."""
+    return [
+        MultiPoly(Counter(exponents(pi) for pi in enumerate_nc(k)))
+        for k in range(n + 1)
+    ]
+
+
+def separate(tau):
+    return lambda pi: (count_subword(pi, tau), 0, 0)
+
+
+def joint(tau1, tau2):
+    return lambda pi: (count_subword(pi, tau2), count_subword(pi, tau1), 0)
+
+
+def with_rep(tau):
+    return lambda pi: (count_subword(pi, tau), 0, rep(pi) if len(pi) else 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 8),
+    st.lists(words_1_to_5, min_size=1, max_size=6).flatmap(
+        lambda ws: st.lists(st.sampled_from(ws), min_size=len(ws), max_size=len(ws) + 3)
+    ),
+)
+def test_batch_rows_match_the_oracle(n, words):
+    # drawing with replacement repeats words; lengths 1-5 exceed small n
+    rows = batch_distribution_rows(n, words)
+    assert rows == [oracle_rows(n, separate(word)) for word in words]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 8), words_1_to_5, words_1_to_5, st.booleans())
+def test_joint_rows_match_the_oracle(n, tau1, tau2, same):
+    tau2 = tau1 if same else tau2
+    assert joint_rows(n, tau1, tau2) == oracle_rows(n, joint(tau1, tau2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 8), words_1_to_5)
+def test_rep_joint_rows_match_the_oracle(n, tau):
+    assert rep_joint_rows(n, tau) == oracle_rows(n, with_rep(tau))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.lists(words_1_to_5, min_size=1, max_size=4),
+)
+def test_cached_rows_equal_fresh_rows(n, up, words):
+    stats._CACHE.clear()
+    first, last = words[0], words[-1]
+    for size in (n, n - 1, min(8, n + up)):  # a call, a smaller one, a larger one
+        assert batch_distribution_rows(size, words) == [
+            oracle_rows(size, separate(word)) for word in words
+        ]
+        assert joint_rows(size, first, last) == oracle_rows(size, joint(first, last))
+        assert rep_joint_rows(size, first) == oracle_rows(size, with_rep(first))
 
 
 def test_size_limit_is_enforced():
