@@ -64,6 +64,7 @@ from .core import (
     classify_pattern,
     enumerate_nc,
     format_sequence,
+    is_canonical_nc,
     is_noncrossing,
     is_restricted_growth,
     iter_nc,
@@ -145,6 +146,7 @@ __all__ = [
     "classify_pattern",
     "enumerate_nc",
     "format_sequence",
+    "is_canonical_nc",
     "is_noncrossing",
     "is_restricted_growth",
     "iter_nc",

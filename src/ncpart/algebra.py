@@ -23,11 +23,6 @@ __all__ = [
     "DEFAULT_ORDER",
     "MultiPoly",
     "TruncatedSeries",
-    "poly_add",
-    "poly_mul",
-    "poly_scale",
-    "series_add",
-    "series_mul",
     "series_inv",
     "series_div",
     "series_sqrt",
@@ -632,38 +627,8 @@ class TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# Module-level operation aliases (polynomials)
-# ---------------------------------------------------------------------------
-
-
-def poly_add(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Exact sum of two polynomials."""
-    return a + b
-
-
-def poly_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Exact product of two polynomials."""
-    return a * b
-
-
-def poly_scale(a: MultiPoly, value: Rational) -> MultiPoly:
-    """Multiply a polynomial by an exact rational."""
-    return a.scale(value)
-
-
-# ---------------------------------------------------------------------------
 # Series operations
 # ---------------------------------------------------------------------------
-
-
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Sum, truncated to the smaller order."""
-    return a + b
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product, truncated to the smaller order."""
-    return a * b
 
 
 def series_inv(s: TruncatedSeries) -> TruncatedSeries:

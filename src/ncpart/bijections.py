@@ -3,7 +3,12 @@ subword-pattern statistics.
 
 Four maps are provided, each validated aggressively at runtime (every
 structural claim the constructions rely on is asserted, and every
-produced word is re-validated as a canonical non-crossing sequence):
+produced word is re-validated as a canonical non-crossing sequence, in
+one linear pass).  A map resolves its parameters (parsing, family
+classification, validation) once per distinct parameter set and keeps
+the result in a bounded cache, so a sweep over many partitions pays for
+that work once; a bad parameter set is never cached and raises on every
+call.
 
 * :func:`map_f` — exchanges occurrences of two patterns of the shape
   (rho+1)1 (trailing-run length 1) of equal length, by rewriting each
@@ -23,6 +28,8 @@ produced word is re-validated as a canonical non-crossing sequence):
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -35,8 +42,7 @@ from .core import (
     as_ncpartition,
     as_pattern,
     classify_pattern,
-    is_noncrossing,
-    is_restricted_growth,
+    is_canonical_nc,
     parse_sequence,
 )
 from .errors import EmptyPartition, FamilyViolation, PatternLengthMismatch
@@ -56,7 +62,24 @@ PartitionLike = Union[NCPartition, Sequence[int], str]
 PatternLike = Union[SubwordPattern, Sequence[int], str]
 
 
-def _std(seq: Sequence[int]) -> tuple[int, ...]:
+#: Distinct parameter sets whose resolution each map keeps.
+_PARAM_CACHE_SIZE = 256
+#: Distinct windows whose standardization is kept.
+_STD_CACHE_SIZE = 1 << 12
+
+
+def _param_key(value: Union[RhoTail, PatternLike]) -> Hashable:
+    """A hashable normal form of a pattern-like map parameter.
+
+    Families, patterns and text stay as they are; any other sequence
+    becomes a tuple of ints, as every resolver would read it."""
+    if isinstance(value, (str, SubwordPattern, RhoTail)):
+        return value
+    return tuple(map(int, value))
+
+
+@functools.lru_cache(maxsize=_STD_CACHE_SIZE)
+def _std(seq: Letters) -> Letters:
     """Standardization: relabel the i-th smallest distinct value as i."""
     ranks = {v: i + 1 for i, v in enumerate(sorted(set(seq)))}
     return tuple(ranks[v] for v in seq)
@@ -90,6 +113,26 @@ def _coerce_rho_tail(value: Union[RhoTail, PatternLike]) -> RhoTail:
     return family
 
 
+@functools.lru_cache(maxsize=_PARAM_CACHE_SIZE)
+def _exchange_words(tau: Hashable, tau2: Hashable) -> tuple[Letters, Letters]:
+    """The two validated pattern words :func:`map_f` exchanges.  A word of
+    the shape (rho+1)1 determines its family, so equal words mean equal
+    families."""
+    fam1 = _coerce_rho_tail(tau)
+    fam2 = _coerce_rho_tail(tau2)
+    if fam1.b != 1 or fam2.b != 1:
+        raise FamilyViolation(
+            "the window exchange needs trailing-run length 1 on both patterns"
+        )
+    word1 = fam1.pattern().word
+    word2 = fam2.pattern().word
+    if len(word1) != len(word2):
+        raise PatternLengthMismatch(
+            f"patterns have different lengths: {len(word1)} != {len(word2)}"
+        )
+    return word1, word2
+
+
 def _scan_strings(
     w: Sequence[int], word1: Letters, word2: Letters
 ) -> list[TauString]:
@@ -99,9 +142,10 @@ def _scan_strings(
     a structural fact for trailing-run-1 patterns that the sequential
     rewrite relies on, so it is asserted."""
     length = len(word1)
+    letters = tuple(w)
     found: list[TauString] = []
     for start in range(len(w) - length + 1):
-        window = _std(w[start : start + length])
+        window = _std(letters[start : start + length])
         if window == word1:
             found.append(TauString(start, start + length, 0))
         elif window == word2:
@@ -191,20 +235,9 @@ def map_f(
     tau2-occurrences of the output and vice versa; the first and last
     positions of every occurrence window are preserved.
     """
-    fam1 = _coerce_rho_tail(tau)
-    fam2 = _coerce_rho_tail(tau2)
-    if fam1.b != 1 or fam2.b != 1:
-        raise FamilyViolation(
-            "the window exchange needs trailing-run length 1 on both patterns"
-        )
-    word1 = fam1.pattern().word
-    word2 = fam2.pattern().word
-    if len(word1) != len(word2):
-        raise PatternLengthMismatch(
-            f"patterns have different lengths: {len(word1)} != {len(word2)}"
-        )
+    word1, word2 = _exchange_words(_param_key(tau), _param_key(tau2))
     partition = as_ncpartition(pi)
-    if fam1 == fam2:
+    if word1 == word2:
         return partition
     length = len(word1)
     w = list(partition.letters)
@@ -224,7 +257,7 @@ def map_f(
             )
         target = words[base[i].kind ^ 1]
         w = _convert_window(w, base[i].start, length, target)
-        if not (is_restricted_growth(w) and is_noncrossing(w)):
+        if not is_canonical_nc(w):
             raise AssertionError(
                 "intermediate word is not a canonical non-crossing sequence"
             )
@@ -240,8 +273,10 @@ def map_f(
 # ---------------------------------------------------------------------------
 
 
-def _sigma_word(sigma: PatternLike) -> Letters:
-    """Validate and normalize the chain-block suffix sigma.
+@functools.lru_cache(maxsize=_PARAM_CACHE_SIZE)
+def _chain_params(sigma: Hashable) -> tuple[Letters, Letters]:
+    """Validate and normalize the chain-block suffix sigma; return it with
+    the pattern word every (u,)+block of a chain must match.
 
     2·sigma must be a non-crossing word on {2, 3, ...} (that is, sigma
     shifted down by 1 and prefixed by 1 must be canonical), and sigma
@@ -255,27 +290,26 @@ def _sigma_word(sigma: PatternLike) -> Letters:
     if parsed and parsed[0] != 3:
         raise FamilyViolation("sigma must start with 3 when nonempty")
     shifted = tuple(v - 1 for v in (2,) + parsed)
-    if min(shifted, default=1) < 1 or not (
-        is_restricted_growth(shifted) and is_noncrossing(shifted)
-    ):
+    if min(shifted, default=1) < 1 or not is_canonical_nc(shifted):
         raise FamilyViolation(
             f"2+sigma does not shift down to a canonical non-crossing word: "
             f"{(2,) + parsed}"
         )
-    return parsed
+    return parsed, _std((2,) + parsed)
 
 
 def _parse_chain(
-    w: Sequence[int], p: int, sigma: Letters
+    w: Sequence[int], p: int, sigma: Letters, target: Letters
 ) -> tuple[int, int, list[tuple[int, int, Letters]], tuple[int, int] | None] | None:
     """Parse the maximal descending chain starting at position p.
 
     A chain is u_1^{r_1} B_1 u_2^{r_2} B_2 ... u_t^{r_t} B_t u^{r} with
     strictly descending u_i, every (u_i,)+B_i order-isomorphic to
-    (2,)+sigma, all run lengths >= 1, and a final run of a letter below
-    u_t (absent when the word ends inside a link).  A matched block that
-    would close the chain — the letter after it is not below u — is left
-    outside and the u-run ends the chain instead: no occurrence of
+    (2,)+sigma (whose pattern word is target), all run lengths >= 1, and
+    a final run of a letter below u_t (absent when the word ends inside a
+    link).  A matched block that would close the chain — the letter after
+    it is not below u — is left outside and the u-run ends the chain
+    instead: no occurrence of
     either exchanged pattern can use such a block, rebuilding places the
     block identically either way, and keeping it out of the span lets a
     chain that genuinely starts inside it be found by a later scan.
@@ -284,7 +318,6 @@ def _parse_chain(
     """
     n = len(w)
     msig = len(sigma)
-    target = _std((2,) + sigma)
     links: list[tuple[int, int, Letters]] = []
     trailing: tuple[int, int] | None = None
     pos = p
@@ -343,14 +376,14 @@ def map_g(pi: PartitionLike, sigma: PatternLike, b: int) -> NCPartition:
     """
     if int(b) < 2:
         raise FamilyViolation("the trailing-run length b must be at least 2")
-    sig = _sigma_word(sigma)
+    sig, target = _chain_params(_param_key(sigma))
     partition = as_ncpartition(pi)
     w = list(partition.letters)
     out = list(w)
     p = 0
     prev_end = 0
     while p < len(w):
-        res = _parse_chain(w, p, sig)
+        res = _parse_chain(w, p, sig, target)
         if res is None or (len(res[2]) < 2 and res[3] is None):
             # No chain here, or a single link with nothing below it: such a
             # span holds no junction (hence no occurrence of either pattern)
@@ -377,6 +410,29 @@ def map_equiv(
     """Exchange occurrences of two equal-length patterns of the shape
     (rho+1)1^b, by reducing each to its trailing-run-1 form with
     :func:`map_g`, exchanging with :func:`map_f`, and lifting back."""
+    same, lift1, reduced1, reduced2, lift2 = _equiv_plan(
+        _param_key(tau), _param_key(tau2)
+    )
+    partition = as_ncpartition(pi)
+    if same:
+        return partition
+    current = partition
+    if lift1 is not None:
+        current = map_g(current, *lift1)
+    current = map_f(current, reduced1, reduced2)
+    if lift2 is not None:
+        current = map_g(current, *lift2)
+    return current
+
+
+@functools.lru_cache(maxsize=_PARAM_CACHE_SIZE)
+def _equiv_plan(
+    tau: Hashable, tau2: Hashable
+) -> tuple[bool, tuple[Letters, int] | None, RhoTail, RhoTail, tuple[Letters, int] | None]:
+    """The steps of :func:`map_equiv` for one pattern pair: whether the
+    families are equal, the (sigma, b) of the map_g reducing the first
+    pattern (None when b = 1), the two trailing-run-1 forms map_f
+    exchanges, and the (sigma, b) of the map_g lifting back."""
     fam1 = _coerce_rho_tail(tau)
     fam2 = _coerce_rho_tail(tau2)
     len1 = len(fam1.rho) + fam1.b
@@ -385,22 +441,18 @@ def map_equiv(
         raise PatternLengthMismatch(
             f"patterns have different lengths: {len1} != {len2}"
         )
-    partition = as_ncpartition(pi)
-    if fam1 == fam2:
-        return partition
 
     def reduced(fam: RhoTail) -> RhoTail:
         if fam.b == 1:
             return fam
         return RhoTail((1,) * fam.b + fam.rho[1:], 1)
 
-    current = partition
-    if fam1.b >= 2:
-        current = map_g(current, tuple(v + 1 for v in fam1.rho[1:]), fam1.b)
-    current = map_f(current, reduced(fam1), reduced(fam2))
-    if fam2.b >= 2:
-        current = map_g(current, tuple(v + 1 for v in fam2.rho[1:]), fam2.b)
-    return current
+    def lift(fam: RhoTail) -> tuple[Letters, int] | None:
+        if fam.b == 1:
+            return None
+        return tuple(v + 1 for v in fam.rho[1:]), fam.b
+
+    return fam1 == fam2, lift(fam1), reduced(fam1), reduced(fam2), lift(fam2)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +491,14 @@ def _parse_runstring(
     return (p, pos, x, runs, blocks)
 
 
+@functools.lru_cache(maxsize=_PARAM_CACHE_SIZE)
+def _runrev_rho(rho: Hashable, a: int, b: int) -> Letters:
+    """The pattern word of rho, once a, rho and b pass Sandwich validation."""
+    rho_word = as_pattern(rho).word
+    Sandwich(int(a), rho_word, int(b))
+    return rho_word
+
+
 def map_runrev(
     pi: PartitionLike, a: int, rho: PatternLike, b: int
 ) -> NCPartition:
@@ -448,8 +508,7 @@ def map_runrev(
 
     The transformation depends only on rho; a and b name the exchanged
     statistic pair (any a, b >= 1)."""
-    rho_word = as_pattern(rho).word
-    Sandwich(int(a), rho_word, int(b))  # validates a, rho, b
+    rho_word = _runrev_rho(_param_key(rho), a, b)
     partition = as_ncpartition(pi)
     w = list(partition.letters)
     out = list(w)

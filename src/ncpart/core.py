@@ -34,6 +34,7 @@ __all__ = [
     "is_restricted_growth",
     "is_noncrossing",
     "is_noncrossing_pairwise",
+    "is_canonical_nc",
     "iter_rgs",
     "iter_nc",
     "enumerate_nc",
@@ -82,7 +83,7 @@ def _letters_of(value: SequenceLike) -> Letters:
         return value.letters
     if isinstance(value, str):
         return parse_sequence(value)
-    return tuple(int(v) for v in value)
+    return tuple(map(int, value))
 
 
 def is_restricted_growth(word: SequenceLike) -> bool:
@@ -97,31 +98,50 @@ def is_restricted_growth(word: SequenceLike) -> bool:
     return True
 
 
-def is_noncrossing(word: SequenceLike) -> bool:
-    """Linear-time check that a restricted growth string is non-crossing.
+#: Outcomes of :func:`_scan_canonical_nc`.
+_CANONICAL_NC, _NOT_RGS, _CROSSING = 0, 1, 2
+
+
+def _scan_canonical_nc(letters: Letters) -> int:
+    """One linear pass that checks restricted growth and non-crossing.
 
     Maintains the set of letters that may still recur (kept on a stack in
     increasing order).  A letter repeats legally only if it is still open;
-    repeating it closes every letter above it forever.
-
-    Raises ValueError when the word is not restricted growth at all.
+    repeating it closes every letter above it forever.  A crossing does not
+    end the pass: a later restricted-growth violation still takes precedence.
     """
-    letters = _letters_of(word)
-    if not is_restricted_growth(letters):
-        raise ValueError(f"not a restricted growth string: {letters!r}")
     stack: list[int] = []
     maximum = 0
+    crossing = False
     for v in letters:
         if v == maximum + 1:
             stack.append(v)
             maximum = v
-        else:
-            # v recurs; it must still be open.
-            while stack and stack[-1] > v:
+        elif v < 1 or v > maximum:
+            return _NOT_RGS
+        elif not crossing:
+            # v recurs; it must still be open.  The stack holds 1 here.
+            while stack[-1] > v:
                 stack.pop()
-            if not stack or stack[-1] != v:
-                return False
-    return True
+            crossing = stack[-1] != v
+    return _CROSSING if crossing else _CANONICAL_NC
+
+
+def is_canonical_nc(word: SequenceLike) -> bool:
+    """True when the word is restricted growth and non-crossing (one pass)."""
+    return _scan_canonical_nc(_letters_of(word)) == _CANONICAL_NC
+
+
+def is_noncrossing(word: SequenceLike) -> bool:
+    """Linear-time check that a restricted growth string is non-crossing.
+
+    Raises ValueError when the word is not restricted growth at all.
+    """
+    letters = _letters_of(word)
+    status = _scan_canonical_nc(letters)
+    if status == _NOT_RGS:
+        raise ValueError(f"not a restricted growth string: {letters!r}")
+    return status == _CANONICAL_NC
 
 
 def is_noncrossing_pairwise(word: SequenceLike) -> bool:
@@ -204,9 +224,13 @@ class NCPartition(CanonicalSeq):
     __slots__ = ()
 
     def __init__(self, letters: SequenceLike) -> None:
-        super().__init__(letters)
-        if not is_noncrossing(self.letters):
-            raise ValueError(f"sequence has a crossing: {self.letters!r}")
+        values = _letters_of(letters)
+        status = _scan_canonical_nc(values)
+        if status == _NOT_RGS:
+            raise ValueError(f"not a restricted growth string: {values!r}")
+        if status == _CROSSING:
+            raise ValueError(f"sequence has a crossing: {values!r}")
+        object.__setattr__(self, "letters", values)
 
     @classmethod
     def _trusted(cls, letters: Letters) -> "NCPartition":
@@ -265,69 +289,41 @@ def iter_rgs(n: int) -> Iterator[Letters]:
             maxima[j] = maxima[i]
 
 
-def iter_nc(
-    n: int,
-    *,
-    limit: int = DEFAULT_ENUM_LIMIT,
-    second_letter: int | None = None,
-) -> Iterator[NCPartition]:
+def iter_nc(n: int, *, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[NCPartition]:
     """Yield all non-crossing partitions of size n in lexicographic order.
 
     The walk extends a prefix letter by letter; the letters that may follow
     a prefix are exactly the still-open letters plus (max so far) + 1, so no
     dead branches are ever visited and nothing is generated-then-filtered.
-
-    With ``second_letter`` (1 or 2) only the sequences whose second letter
-    has that value are yielded; the two choices partition the n >= 2 output,
-    which lets callers process the ranges independently.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > limit:
         raise LimitExceeded(f"n = {n} exceeds the enumeration limit {limit}")
-    if second_letter is not None:
-        if second_letter not in (1, 2):
-            raise ValueError("second_letter must be 1 or 2")
-        if n < 2:
-            raise ValueError("second_letter splitting needs n >= 2")
     if n == 0:
         yield NCPartition._trusted(())
         return
-    letters = [0] * n
-    letters[0] = 1
-    stack = [1]
-
-    def walk(pos: int, maximum: int) -> Iterator[NCPartition]:
-        if pos == n:
-            yield NCPartition._trusted(tuple(letters))
-            return
-        candidates = tuple(stack)
-        for idx, v in enumerate(candidates):
-            if pos == 1 and second_letter is not None and v != second_letter:
-                continue
-            letters[pos] = v
-            tail = stack[idx + 1 :]
-            del stack[idx + 1 :]
-            yield from walk(pos + 1, maximum)
-            stack.extend(tail)
-        v = maximum + 1
-        if not (pos == 1 and second_letter is not None and v != second_letter):
-            letters[pos] = v
-            stack.append(v)
-            yield from walk(pos + 1, v)
-            stack.pop()
-
-    yield from walk(1, 1)
+    trusted = NCPartition._trusted
+    # Prefixes still to extend, depth-first: (letters, letters that may
+    # repeat, largest letter).  Children are pushed largest first so that
+    # they pop in lexicographic order; the last letter is yielded directly.
+    todo: list[tuple[Letters, Letters, int]] = [((), (), 0)]
+    while todo:
+        letters, stack, maximum = todo.pop()
+        fresh = maximum + 1
+        if len(letters) == n - 1:
+            for v in stack:
+                yield trusted(letters + (v,))
+            yield trusted(letters + (fresh,))
+            continue
+        todo.append((letters + (fresh,), stack + (fresh,), fresh))
+        for idx in range(len(stack) - 1, -1, -1):
+            todo.append((letters + (stack[idx],), stack[: idx + 1], maximum))
 
 
-def enumerate_nc(
-    n: int,
-    *,
-    limit: int = DEFAULT_ENUM_LIMIT,
-    second_letter: int | None = None,
-) -> list[NCPartition]:
+def enumerate_nc(n: int, *, limit: int = DEFAULT_ENUM_LIMIT) -> list[NCPartition]:
     """All non-crossing partitions of size n, lexicographically sorted."""
-    return list(iter_nc(n, limit=limit, second_letter=second_letter))
+    return list(iter_nc(n, limit=limit))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +396,7 @@ def as_pattern(value: Union[SubwordPattern, Sequence[int], str]) -> SubwordPatte
 def _validate_rho(rho: Letters, *, single_start: bool) -> None:
     if not rho:
         raise FamilyViolation("rho must be nonempty")
-    if not is_restricted_growth(rho) or not is_noncrossing(rho):
+    if not is_canonical_nc(rho):
         raise FamilyViolation(
             f"rho must be a canonical non-crossing sequence: {rho!r}"
         )

@@ -1,6 +1,10 @@
 """Occurrence-exchanging bijections on non-crossing partitions."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncpart.bijections import (
     decode_descent_code,
@@ -11,7 +15,15 @@ from ncpart.bijections import (
     map_g,
     map_runrev,
 )
-from ncpart.core import NCPartition, iter_nc, parse_sequence
+from ncpart.core import (
+    NCPartition,
+    RhoTail,
+    SubwordPattern,
+    is_canonical_nc,
+    is_noncrossing_pairwise,
+    iter_nc,
+    parse_sequence,
+)
 from ncpart.errors import (
     EmptyPartition,
     FamilyViolation,
@@ -245,3 +257,164 @@ def test_descent_code_requires_nonempty():
 def test_decode_rejects_inconsistent_codes(bottoms, codes):
     with pytest.raises(ValueError):
         decode_descent_code(bottoms, codes)
+
+
+# ---------------------------------------------------------------------------
+# Parameter resolution: equal parameters in any form, failures every time
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "apply,forms",
+    [
+        (lambda pi, t: map_f(pi, t, "221"),
+         ["231", [2, 3, 1], (2, 3, 1), SubwordPattern("231"), RhoTail((1, 2), 1)]),
+        (lambda pi, t: map_f(pi, "2221", t), ["2341", [2, 3, 4, 1], (2, 3, 4, 1)]),
+        (lambda pi, s: map_g(pi, s, 2), ["3", [3], (3,)]),
+        (lambda pi, s: map_g(pi, s, 2), ["32", [3, 2], (3, 2), SubwordPattern("21")]),
+        (lambda pi, s: map_g(pi, s, 2), ["", [], ()]),
+        (lambda pi, t: map_equiv(pi, t, "221"),
+         ["211", [2, 1, 1], (2, 1, 1), RhoTail((1,), 2)]),
+        (lambda pi, t: map_equiv(pi, "211", t), ["231", [2, 3, 1], (2, 3, 1)]),
+        (lambda pi, r: map_runrev(pi, 1, r, 2), ["1", [1], (1,), SubwordPattern("1")]),
+        (lambda pi, r: map_runrev(pi, 2, r, 1), ["12", [1, 2], (1, 2)]),
+    ],
+)
+def test_parameter_forms_give_the_same_image(apply, forms):
+    for pi in _all_nc(6):
+        images = {apply(pi, form) for form in forms}
+        assert len(images) == 1
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: map_f("121", "211", "221"), FamilyViolation),
+        (lambda: map_f("121", [2, 1, 1], "221"), FamilyViolation),
+        (lambda: map_f("121", "231", [2, 2, 2, 1]), PatternLengthMismatch),
+        (lambda: map_g("121", "4", 2), FamilyViolation),
+        (lambda: map_g("121", [3, 5], 2), FamilyViolation),
+        (lambda: map_equiv("121", "112", "122"), FamilyViolation),
+        (lambda: map_equiv("121", [2, 1, 1], "2221"), PatternLengthMismatch),
+        (lambda: map_runrev("121", 0, "1", 2), FamilyViolation),
+        (lambda: map_runrev("121", 1, [2, 1], 2), FamilyViolation),
+    ],
+)
+def test_bad_parameters_fail_on_every_call(call, error):
+    messages = []
+    for _ in range(2):
+        with pytest.raises(error) as caught:
+            call()
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+
+
+# ---------------------------------------------------------------------------
+# Large sizes: uniformly sampled partitions of size 20-40
+# ---------------------------------------------------------------------------
+
+# The parameter sets of the exhaustive acceptance sweep (criterion 10).
+F_PAIRS = (("231", "221"), ("2221", "2341"))
+G_CASES = (("", 2), ("3", 2))
+E_PAIRS = (("211", "221"), ("211", "231"))
+RR_CASES = ((1, "1", 2), (2, "1", 1))
+DC_EXCHANGE = ((2, 2), (3, 2), (2, 3))
+
+
+def _uniform_dyck(n, rng):
+    """A uniform Dyck word of semilength n as +1/-1 steps (cycle lemma):
+    of the rotations of a shuffled word with n up and n + 1 down steps,
+    exactly one, starting after the first minimum of the prefix sums,
+    stays non-negative until its final down step."""
+    steps = [1] * n + [-1] * (n + 1)
+    rng.shuffle(steps)
+    height, low, cut = 0, 0, 0
+    for i, step in enumerate(steps):
+        height += step
+        if height < low:
+            low, cut = height, i + 1
+    return (steps[cut:] + steps[:cut])[:-1]
+
+
+def _nc_from_dyck(steps):
+    """The non-crossing partition of a Dyck word: element i is the i-th
+    down step.  A run of k up steps before it opens a new block of size k;
+    with no run, the element joins the latest block still short of its
+    size (the only choice without a crossing)."""
+    letters, open_blocks, run, opened = [], [], 0, 0
+    for step in steps:
+        if step > 0:
+            run += 1
+            continue
+        if run:
+            opened += 1
+            open_blocks.append([opened, run])
+            run = 0
+        block = open_blocks[-1]
+        letters.append(block[0])
+        block[1] -= 1
+        if block[1] == 0:
+            open_blocks.pop()
+    return NCPartition(tuple(letters))
+
+
+def _dyck_words(n):
+    if n == 0:
+        yield []
+        return
+    for k in range(n):
+        for inner in _dyck_words(k):
+            for outer in _dyck_words(n - 1 - k):
+                yield [1] + inner + [-1] + outer
+
+
+def test_dyck_decoding_is_a_bijection_onto_nc_partitions():
+    for n in range(8):
+        decoded = [_nc_from_dyck(word) for word in _dyck_words(n)]
+        assert sorted(decoded) == list(iter_nc(n))
+
+
+large_partitions = st.builds(
+    lambda n, rng: _nc_from_dyck(_uniform_dyck(n, rng)),
+    st.integers(20, 40),
+    st.randoms(use_true_random=False),
+)
+
+
+def _checked(image):
+    assert is_canonical_nc(image.letters)
+    assert is_noncrossing_pairwise(image.letters)
+    return image
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_partitions)
+def test_large_partitions_exchange_and_involution(pi):
+    for t1, t2 in F_PAIRS:
+        image = _checked(map_f(pi, t1, t2))
+        assert count_subword(image, t2) == count_subword(pi, t1)
+        assert count_subword(image, t1) == count_subword(pi, t2)
+        assert map_f(image, t1, t2) == pi
+    for sigma, b in G_CASES:
+        sig = parse_sequence(sigma) if sigma else ()
+        p1, p2 = (2,) + sig + (1,) * b, (2,) * b + sig + (1,)
+        image = _checked(map_g(pi, sigma, b))
+        assert count_subword(image, p2) == count_subword(pi, p1)
+        assert count_subword(image, p1) == count_subword(pi, p2)
+        assert map_g(image, sigma, b) == pi
+    for t1, t2 in E_PAIRS:
+        image = _checked(map_equiv(pi, t1, t2))
+        assert count_subword(image, t2) == count_subword(pi, t1)
+    for a, rho, b in RR_CASES:
+        lifted = tuple(v + 1 for v in parse_sequence(rho))
+        p1, p2 = (1,) * a + lifted + (1,) * b, (1,) * b + lifted + (1,) * a
+        image = _checked(map_runrev(pi, a, rho, b))
+        assert count_subword(image, p2) == count_subword(pi, p1)
+        assert count_subword(image, p1) == count_subword(pi, p2)
+        assert map_runrev(image, a, rho, b) == pi
+    image = _checked(map_descent_code(pi))
+    assert map_descent_code(image) == pi
+    for a, m in DC_EXCHANGE:
+        p1, p2 = (1,) * a + tuple(range(2, m + 1)), tuple(range(1, m)) + (m,) * a
+        assert count_subword(image, p2) == count_subword(pi, p1)
+        assert count_subword(image, p1) == count_subword(pi, p2)

@@ -1,7 +1,7 @@
 """Canonical sequences, enumeration, patterns, and family classification."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncpart.core import (
@@ -23,7 +23,9 @@ from ncpart.core import (
     classify_pattern,
     enumerate_nc,
     format_sequence,
+    is_canonical_nc,
     is_noncrossing,
+    is_noncrossing_pairwise,
     is_restricted_growth,
     iter_nc,
     iter_rgs,
@@ -96,6 +98,51 @@ def test_ncpartition_validation():
         NCPartition((2, 1))
 
 
+@st.composite
+def _growth_words(draw):
+    """Restricted growth words of length <= 12, crossing or not, with
+    letters up to 6, sometimes with one letter overwritten by 0..6."""
+    letters: list[int] = []
+    for _ in range(draw(st.integers(0, 12))):
+        letters.append(draw(st.integers(1, min(max(letters, default=0) + 1, 6))))
+    if letters and draw(st.booleans()):
+        letters[draw(st.integers(0, len(letters) - 1))] = draw(st.integers(0, 6))
+    return letters
+
+
+def _parent_error(word):
+    """The ValueError message NCPartition gives: the restricted-growth
+    failure first, then a crossing, as told by the quadratic check."""
+    if not is_restricted_growth(word):
+        return f"not a restricted growth string: {word!r}"
+    if not is_noncrossing_pairwise(word):
+        return f"sequence has a crossing: {word!r}"
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(st.integers(0, 6), max_size=12), _growth_words()))
+@example([1, 2, 1, 2, 5])  # a crossing before a growth violation
+@example([1, 2, 1, 2, 0])
+@example([1, 2, 3, 1, 3, 2])
+def test_one_pass_check_agrees_with_the_pairwise_oracle(letters):
+    word = tuple(letters)
+    expected = _parent_error(word)
+    assert is_canonical_nc(word) == (expected is None)
+    assert is_canonical_nc(list(word)) == is_canonical_nc(format_sequence(word))
+    if is_restricted_growth(word):
+        assert is_noncrossing(word) == is_noncrossing_pairwise(word)
+    else:
+        with pytest.raises(ValueError, match="not a restricted growth string"):
+            is_noncrossing(word)
+    if expected is None:
+        assert NCPartition(list(word)).letters == word
+    else:
+        with pytest.raises(ValueError) as caught:
+            NCPartition(list(word))
+        assert str(caught.value) == expected
+
+
 def test_blocks_and_block_count():
     pi = NCPartition("1213311")
     assert pi.block_count == 3
@@ -129,6 +176,12 @@ def test_enumerate_nc_is_sorted_and_valid():
     assert len(set(parts)) == len(parts)
     for p in parts:
         assert is_restricted_growth(p.letters) and is_noncrossing(p.letters)
+
+
+def test_iter_nc_is_the_noncrossing_growth_words_in_order():
+    for n in range(9):
+        expected = [w for w in iter_rgs(n) if is_noncrossing_pairwise(w)]
+        assert [p.letters for p in iter_nc(n)] == expected
 
 
 def test_enumeration_limit():
