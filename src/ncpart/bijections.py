@@ -39,6 +39,7 @@ from .core import (
     RhoTail,
     Sandwich,
     SubwordPattern,
+    _standardise,
     as_ncpartition,
     as_pattern,
     classify_pattern,
@@ -78,11 +79,7 @@ def _param_key(value: Union[RhoTail, PatternLike]) -> Hashable:
     return tuple(map(int, value))
 
 
-@functools.lru_cache(maxsize=_STD_CACHE_SIZE)
-def _std(seq: Letters) -> Letters:
-    """Standardization: relabel the i-th smallest distinct value as i."""
-    ranks = {v: i + 1 for i, v in enumerate(sorted(set(seq)))}
-    return tuple(ranks[v] for v in seq)
+_std = functools.lru_cache(maxsize=_STD_CACHE_SIZE)(_standardise)
 
 
 # ---------------------------------------------------------------------------

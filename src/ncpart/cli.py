@@ -41,12 +41,12 @@ bytes — and ``--no-cache`` bypasses it entirely.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -55,7 +55,6 @@ from .algebra import MultiPoly, TruncatedSeries
 from .bijections import map_descent_code, map_equiv, map_f, map_g, map_runrev
 from .core import (
     DEFAULT_ENUM_LIMIT,
-    Generic,
     PatternFamily,
     RhoTail,
     Run,
@@ -80,22 +79,14 @@ __all__ = ["RunConfig", "build_parser", "entry", "run_verify_target"]
 #: Hard ceiling on requested series orders.
 MAX_ORDER = 24
 
-_FAMILY_NAMES = (
-    "run",
-    "run-ascent",
-    "staircase-tail",
-    "run-staircase",
-    "sandwich",
-    "rho-tail",
-)
-
-_FAMILY_FLAGS: dict[str, tuple[str, ...]] = {
-    "run": ("a",),
-    "run-ascent": ("a",),
-    "staircase-tail": ("m", "a"),
-    "run-staircase": ("a", "m"),
-    "sandwich": ("a", "rho", "b"),
-    "rho-tail": ("rho", "b"),
+#: ``--family`` name -> family class; the class's fields are its flags.
+_FAMILIES: dict[str, type] = {
+    "run": Run,
+    "run-ascent": RunAscent,
+    "staircase-tail": StaircaseTail,
+    "run-staircase": RunStaircase,
+    "sandwich": Sandwich,
+    "rho-tail": RhoTail,
 }
 
 _VERIFY_TARGETS = (
@@ -128,7 +119,7 @@ _VERIFY_DEFAULT_ORDER: dict[str, int] = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class RunConfig:
     """One parsed invocation: subcommand plus every relevant option."""
 
@@ -223,26 +214,16 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _build_family(cfg: RunConfig) -> PatternFamily:
-    name = cfg.family
-    assert name is not None
-    required = _FAMILY_FLAGS[name]
+    cls = _FAMILIES[cfg.family]
+    required = [field.name for field in dataclasses.fields(cls)]
     missing = [flag for flag in required if getattr(cfg, flag) is None]
     if missing:
         flags = ", ".join(f"--{f}" for f in missing)
-        raise ValueError(f"family {name!r} needs {flags}")
-    if name == "run":
-        return Run(cfg.a)
-    if name == "run-ascent":
-        return RunAscent(cfg.a)
-    if name == "staircase-tail":
-        return StaircaseTail(cfg.m, cfg.a)
-    if name == "run-staircase":
-        return RunStaircase(cfg.a, cfg.m)
-    if name == "sandwich":
-        return Sandwich(cfg.a, parse_sequence(cfg.rho), cfg.b)
-    if name == "rho-tail":
-        return RhoTail(parse_sequence(cfg.rho), cfg.b)
-    raise ValueError(f"unknown family {name!r}")
+        raise ValueError(f"family {cfg.family!r} needs {flags}")
+    values = {flag: getattr(cfg, flag) for flag in required}
+    if "rho" in values:
+        values["rho"] = parse_sequence(values["rho"])
+    return cls(**values)
 
 
 def _resolve_pattern(cfg: RunConfig) -> tuple[SubwordPattern, PatternFamily]:
@@ -259,7 +240,7 @@ def _resolve_pattern(cfg: RunConfig) -> tuple[SubwordPattern, PatternFamily]:
 
 def _applicable_methods(family: PatternFamily) -> tuple[str, ...]:
     methods = ["brute"]
-    if not isinstance(family, Generic):
+    if type(family) in formulas.CLOSED_FORMS:
         methods.append("closed")
     if isinstance(family, StaircaseTail):
         methods.append("recurrence")
@@ -273,25 +254,6 @@ def _require_method(family: PatternFamily, method: str) -> None:
             f"method {method!r} does not apply to this pattern; "
             f"applicable methods: {', '.join(methods)}"
         )
-
-
-def _closed_series(family: PatternFamily, order: int) -> TruncatedSeries:
-    if isinstance(family, Run):
-        return formulas.gf_1m(family.a, order)
-    if isinstance(family, RunAscent):
-        return formulas.gf_1m2(family.a, order)
-    if isinstance(family, StaircaseTail):
-        return formulas.gf_staircase_tail(family.m, family.a, order)
-    if isinstance(family, RunStaircase):
-        # Shares its distribution with the mirrored staircase-tail pattern.
-        return formulas.gf_staircase_tail(family.m, family.a, order)
-    if isinstance(family, RhoTail):
-        return formulas.gf_rho_1b(family.rho, family.b, order)
-    if isinstance(family, Sandwich):
-        return formulas.gf_1a_rho_1b(family.a, family.rho, family.b, order)
-    raise UnsupportedFamily(
-        "no closed form covers this pattern; applicable methods: brute"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -394,17 +356,6 @@ def _single_or_series(cfg: RunConfig) -> tuple[int | None, int | None]:
     return cfg.n, cfg.order
 
 
-def _distribution_poly(
-    cfg: RunConfig, pattern: SubwordPattern, family: PatternFamily, method: str, n: int
-) -> MultiPoly:
-    if method == "brute":
-        return _brute_rows(cfg, pattern, n)[n]
-    if method == "closed":
-        return _closed_series(family, n + 1).coefficient(n)
-    assert method == "recurrence"
-    return staircase_series_by_recurrence(family.m, family.a, n + 1).coefficient(n)
-
-
 def _distribution_series(
     cfg: RunConfig,
     pattern: SubwordPattern,
@@ -416,7 +367,7 @@ def _distribution_series(
         rows = _brute_rows(cfg, pattern, order - 1)
         return TruncatedSeries.from_x_poly(dict(enumerate(rows)), order)
     if method == "closed":
-        return _closed_series(family, order)
+        return formulas.closed_series(family, order)
     assert method == "recurrence"
     return staircase_series_by_recurrence(family.m, family.a, order)
 
@@ -428,7 +379,7 @@ def cmd_dist(cfg: RunConfig) -> int:
     n, order = _single_or_series(cfg)
     text = format_sequence(pattern.word)
     if n is not None:
-        poly = _distribution_poly(cfg, pattern, family, method, n)
+        poly = _distribution_series(cfg, pattern, family, method, n + 1).coefficient(n)
         obj = {
             "pattern": text,
             "n": n,
@@ -596,291 +547,185 @@ def _cell(params: dict, n: int | None, ok: bool, expected: object, actual: objec
     }
 
 
-def _series_equal_cell(
-    params: dict, first: TruncatedSeries, second: TruncatedSeries
-) -> dict:
-    diff = first - second
-    val = diff.valuation()
+def _zero_cell(params: dict, residual: TruncatedSeries) -> dict:
+    """One cell that passes when residual vanishes mod x^order; a failing
+    cell shows the residual's lowest nonzero coefficient."""
+    val = residual.valuation()
     return _cell(
         params,
         None,
         val is None,
         [],
-        [] if val is None else diff.coefficient(val),
+        [] if val is None else residual.coefficient(val),
     )
 
 
-Group = Callable[[], list[dict]]
+def _compare(params: dict, expected: Sequence, actual: Sequence) -> list[dict]:
+    """One cell per size n: expected[n] against actual[n]."""
+    return [
+        _cell(params, n, want == got, want, got)
+        for n, (want, got) in enumerate(zip(expected, actual, strict=True))
+    ]
 
 
-def _groups_table1(order: int) -> list[Group]:
-    return [lambda: formulas.verify_table1(order)["cells"]]
+def _groups_table1(order: int) -> list[dict]:
+    return formulas.verify_table1(order)["cells"]
 
 
 _Q_MONO = MultiPoly({(1, 0, 0): Fraction(1)})
 
 
-def _groups_joint(order: int) -> list[Group]:
+def _groups_joint(order: int) -> list[dict]:
     n_cap = min(order - 1, 10)
-    groups: list[Group] = []
-
-    def coefficient_group(a: int, b: int) -> Group:
-        def run() -> list[dict]:
-            series = formulas.gf_joint_1a_1b2(a, b, order)
-            eq_a, eq_b, eq_c = formulas.joint_quadratic(a, b, order)
-            residual = eq_a * series * series - eq_b * series + eq_c
-            val = residual.valuation()
-            cells = [
-                _cell(
-                    {"a": a, "b": b, "check": "equation"},
-                    None,
-                    val is None,
-                    [],
-                    [] if val is None else residual.coefficient(val),
-                )
-            ]
-            rows = stats.joint_rows(n_cap, (1,) * a, (1,) * b + (2,))
-            for n in range(n_cap + 1):
-                actual = series.coefficient(n)
-                cells.append(
-                    _cell(
-                        {"a": a, "b": b, "check": "coefficient"},
-                        n,
-                        rows[n] == actual,
-                        rows[n],
-                        actual,
-                    )
-                )
-            return cells
-
-        return run
-
-    def specialization_group(m: int) -> Group:
-        def run() -> list[dict]:
-            run_side = formulas.gf_joint_1a_1b2(m, 1, order).substitute(
-                q=Fraction(1), p=_Q_MONO
-            )
-            ascent_side = formulas.gf_joint_1a_1b2(1, m, order).substitute(
-                p=Fraction(1)
-            )
-            return [
-                _series_equal_cell(
-                    {"m": m, "check": "specialize-to-run"},
-                    formulas.gf_1m(m, order),
-                    run_side,
-                ),
-                _series_equal_cell(
-                    {"m": m, "check": "specialize-to-run-ascent"},
-                    formulas.gf_1m2(m, order),
-                    ascent_side,
-                ),
-            ]
-
-        return run
-
+    cells = []
     for a, b in ((1, 1), (2, 1), (2, 2), (3, 2), (2, 3)):
-        groups.append(coefficient_group(a, b))
+        series = formulas.gf_joint_1a_1b2(a, b, order)
+        eq_a, eq_b, eq_c = formulas.joint_quadratic(a, b, order)
+        cells.append(
+            _zero_cell(
+                {"a": a, "b": b, "check": "equation"},
+                eq_a * series * series - eq_b * series + eq_c,
+            )
+        )
+        rows = stats.joint_rows(n_cap, (1,) * a, (1,) * b + (2,))
+        cells += _compare(
+            {"a": a, "b": b, "check": "coefficient"}, rows, series.coeffs[: n_cap + 1]
+        )
     for m in (1, 2, 3, 4):
-        groups.append(specialization_group(m))
-    return groups
+        run_side = formulas.gf_joint_1a_1b2(m, 1, order).substitute(
+            q=Fraction(1), p=_Q_MONO
+        )
+        ascent_side = formulas.gf_joint_1a_1b2(1, m, order).substitute(p=Fraction(1))
+        cells.append(
+            _zero_cell(
+                {"m": m, "check": "specialize-to-run"},
+                formulas.gf_1m(m, order) - run_side,
+            )
+        )
+        cells.append(
+            _zero_cell(
+                {"m": m, "check": "specialize-to-run-ascent"},
+                formulas.gf_1m2(m, order) - ascent_side,
+            )
+        )
+    return cells
 
 
-def _groups_rho_tail(order: int) -> list[Group]:
+def _groups_rho_tail(order: int) -> list[dict]:
     cases = (("1", 2), ("11", 1), ("12", 1), ("1", 3), ("12", 2))
     n_cap = min(order - 1, 12)
-    groups: list[Group] = []
-
-    def case_group(rho: str, b: int) -> Group:
-        def run() -> list[dict]:
-            fam = RhoTail(parse_sequence(rho), b)
-            series = formulas.gf_rho_1b(rho, b, order)
-            rows = stats.distribution_rows(n_cap, fam.pattern())
-            text = format_sequence(fam.pattern().word)
-            return [
-                _cell(
-                    {"pattern": text, "check": "coefficient"},
-                    n,
-                    rows[n] == series.coefficient(n),
-                    rows[n],
-                    series.coefficient(n),
-                )
-                for n in range(n_cap + 1)
-            ]
-
-        return run
-
-    def invariance_group() -> list[dict]:
-        by_len: dict[int, list[tuple[str, int]]] = {}
-        for rho, b in cases:
-            by_len.setdefault(len(parse_sequence(rho)) + b, []).append((rho, b))
-        cells = []
-        for _length, members in sorted(by_len.items()):
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    (rho1, b1), (rho2, b2) = members[i], members[j]
-                    cells.append(
-                        _series_equal_cell(
-                            {
-                                "first": {"rho": rho1, "b": b1},
-                                "second": {"rho": rho2, "b": b2},
-                                "check": "length-invariance",
-                            },
-                            formulas.gf_rho_1b(rho1, b1, order),
-                            formulas.gf_rho_1b(rho2, b2, order),
-                        )
-                    )
-        return cells
-
+    cells = []
     for rho, b in cases:
-        groups.append(case_group(rho, b))
-    groups.append(invariance_group)
-    return groups
-
-
-def _groups_sandwich(order: int) -> list[Group]:
-    taus = ("121", "1121", "1211", "1221", "1231")
-    n_cap = min(order - 1, 12)
-    groups: list[Group] = []
-
-    def case_group(tau: str) -> Group:
-        def run() -> list[dict]:
-            fam = classify_pattern(tau)
-            assert isinstance(fam, Sandwich)
-            series = formulas.gf_1a_rho_1b(fam.a, fam.rho, fam.b, order)
-            rows = stats.distribution_rows(n_cap, tau)
-            return [
-                _cell(
-                    {"pattern": tau, "check": "coefficient"},
-                    n,
-                    rows[n] == series.coefficient(n),
-                    rows[n],
-                    series.coefficient(n),
-                )
-                for n in range(n_cap + 1)
-            ]
-
-        return run
-
-    def symmetry_group() -> list[dict]:
-        cells = []
-        for a, rho, b in ((2, "1", 1), (3, "1", 1), (2, "11", 1), (2, "12", 1)):
+        pattern = RhoTail(parse_sequence(rho), b).pattern()
+        series = formulas.gf_rho_1b(rho, b, order)
+        rows = stats.distribution_rows(n_cap, pattern)
+        cells += _compare(
+            {"pattern": format_sequence(pattern.word), "check": "coefficient"},
+            rows,
+            series.coeffs[: n_cap + 1],
+        )
+    by_len: dict[int, list[tuple[str, int]]] = {}
+    for rho, b in cases:
+        by_len.setdefault(len(parse_sequence(rho)) + b, []).append((rho, b))
+    for _length, members in sorted(by_len.items()):
+        for (rho1, b1), (rho2, b2) in itertools.combinations(members, 2):
             cells.append(
-                _series_equal_cell(
-                    {"a": a, "rho": rho, "b": b, "check": "symmetry"},
-                    formulas.gf_1a_rho_1b(a, rho, b, order),
-                    formulas.gf_1a_rho_1b(b, rho, a, order),
+                _zero_cell(
+                    {
+                        "first": {"rho": rho1, "b": b1},
+                        "second": {"rho": rho2, "b": b2},
+                        "check": "length-invariance",
+                    },
+                    formulas.gf_rho_1b(rho1, b1, order)
+                    - formulas.gf_rho_1b(rho2, b2, order),
                 )
             )
-        return cells
-
-    for tau in taus:
-        groups.append(case_group(tau))
-    groups.append(symmetry_group)
-    return groups
+    return cells
 
 
-def _groups_staircase(order: int) -> list[Group]:
-    cases = ((2, 2), (3, 2), (2, 3), (3, 3))
+def _groups_sandwich(order: int) -> list[dict]:
     n_cap = min(order - 1, 12)
-
-    def case_group(m: int, a: int) -> Group:
-        def run() -> list[dict]:
-            closed = formulas.gf_staircase_tail(m, a, order)
-            by_recurrence = staircase_series_by_recurrence(m, a, order)
-            rows = stats.distribution_rows(n_cap, StaircaseTail(m, a).pattern())
-            cells = []
-            for n in range(n_cap + 1):
-                cells.append(
-                    _cell(
-                        {"m": m, "a": a, "check": "closed"},
-                        n,
-                        rows[n] == closed.coefficient(n),
-                        rows[n],
-                        closed.coefficient(n),
-                    )
-                )
-                cells.append(
-                    _cell(
-                        {"m": m, "a": a, "check": "recurrence"},
-                        n,
-                        rows[n] == by_recurrence.coefficient(n),
-                        rows[n],
-                        by_recurrence.coefficient(n),
-                    )
-                )
-            return cells
-
-        return run
-
-    return [case_group(m, a) for m, a in cases]
+    cells = []
+    for tau in ("121", "1121", "1211", "1221", "1231"):
+        fam = classify_pattern(tau)
+        assert isinstance(fam, Sandwich)
+        series = formulas.gf_1a_rho_1b(fam.a, fam.rho, fam.b, order)
+        rows = stats.distribution_rows(n_cap, tau)
+        cells += _compare(
+            {"pattern": tau, "check": "coefficient"}, rows, series.coeffs[: n_cap + 1]
+        )
+    for a, rho, b in ((2, "1", 1), (3, "1", 1), (2, "11", 1), (2, "12", 1)):
+        cells.append(
+            _zero_cell(
+                {"a": a, "rho": rho, "b": b, "check": "symmetry"},
+                formulas.gf_1a_rho_1b(a, rho, b, order)
+                - formulas.gf_1a_rho_1b(b, rho, a, order),
+            )
+        )
+    return cells
 
 
-def _groups_staircase_joint(order: int) -> list[Group]:
+def _groups_staircase(order: int) -> list[dict]:
+    n_cap = min(order - 1, 12)
+    cells = []
+    for m, a in ((2, 2), (3, 2), (2, 3), (3, 3)):
+        closed = formulas.gf_staircase_tail(m, a, order)
+        by_recurrence = staircase_series_by_recurrence(m, a, order)
+        rows = stats.distribution_rows(n_cap, StaircaseTail(m, a).pattern())
+        per_n = zip(
+            _compare(
+                {"m": m, "a": a, "check": "closed"}, rows, closed.coeffs[: n_cap + 1]
+            ),
+            _compare(
+                {"m": m, "a": a, "check": "recurrence"},
+                rows,
+                by_recurrence.coeffs[: n_cap + 1],
+            ),
+        )
+        cells += [cell for pair in per_n for cell in pair]
+    return cells
+
+
+def _groups_staircase_joint(order: int) -> list[dict]:
     m, a = 2, 2
     n_cap = min(order - 1, 9)
-
-    def value_group(v: Fraction) -> Group:
-        def run() -> list[dict]:
-            series = formulas.gf_staircase_joint_rep(m, a, order, v_value=v)
-            rows = stats.rep_joint_rows(n_cap, StaircaseTail(m, a).pattern())
-            cells = []
-            for n in range(n_cap + 1):
-                expected = rows[n].substitute(v=v)
-                actual = series.coefficient(n)
-                cells.append(
-                    _cell(
-                        {"m": m, "a": a, "v": str(v), "check": "coefficient"},
-                        n,
-                        expected == actual,
-                        expected,
-                        actual,
-                    )
-                )
-            return cells
-
-        return run
-
-    def collapse_group() -> list[dict]:
-        return [
-            _series_equal_cell(
-                {"m": m, "a": a, "check": "collapse-at-one"},
-                formulas.gf_staircase_joint_rep(m, a, order, v_value=1),
-                formulas.gf_staircase_tail(m, a, order),
-            )
-        ]
-
-    groups: list[Group] = [
-        value_group(Fraction(v)) for v in (0, 2, 3, 1)
-    ]
-    groups.append(collapse_group)
-    return groups
+    cells = []
+    for v in map(Fraction, (0, 2, 3, 1)):
+        series = formulas.gf_staircase_joint_rep(m, a, order, v_value=v)
+        rows = stats.rep_joint_rows(n_cap, StaircaseTail(m, a).pattern())
+        cells += _compare(
+            {"m": m, "a": a, "v": str(v), "check": "coefficient"},
+            [row.substitute(v=v) for row in rows],
+            series.coeffs[: n_cap + 1],
+        )
+    cells.append(
+        _zero_cell(
+            {"m": m, "a": a, "check": "collapse-at-one"},
+            formulas.gf_staircase_joint_rep(m, a, order, v_value=1)
+            - formulas.gf_staircase_tail(m, a, order),
+        )
+    )
+    return cells
 
 
-def _groups_refined(order: int) -> list[Group]:
-    cases = ((2, 2), (3, 2), (2, 3))
+def _groups_refined(order: int) -> list[dict]:
     n_cap = min(order - 1, 10)
-
-    def case_group(m: int, a: int) -> Group:
-        def run() -> list[dict]:
-            table = recurrence_table(m, a)
-            cells = []
-            for n in range(a, n_cap + 1):
-                report = table.refined_check(n)
-                failing = [e for e in report["cells"] if e["status"] != "pass"]
-                cells.append(
-                    _cell(
-                        {"m": m, "a": a, "check": "refined-cells"},
-                        n,
-                        report["status"] == "pass",
-                        [],
-                        failing,
-                    )
+    cells = []
+    for m, a in ((2, 2), (3, 2), (2, 3)):
+        table = recurrence_table(m, a)
+        for n in range(a, n_cap + 1):
+            report = table.refined_check(n)
+            failing = [e for e in report["cells"] if e["status"] != "pass"]
+            cells.append(
+                _cell(
+                    {"m": m, "a": a, "check": "refined-cells"},
+                    n,
+                    report["status"] == "pass",
+                    [],
+                    failing,
                 )
-            return cells
-
-        return run
-
-    return [case_group(m, a) for m, a in cases]
+            )
+    return cells
 
 
 def _totals_instances() -> list[PatternFamily]:
@@ -907,81 +752,51 @@ def _totals_instances() -> list[PatternFamily]:
     return instances
 
 
-def _groups_totals(order: int) -> list[Group]:
+def _groups_totals(order: int) -> list[dict]:
     n_cap = min(order - 1, 12)
     instances = _totals_instances()
     patterns = [fam.pattern() for fam in instances]
     rows_all = stats.batch_distribution_rows(n_cap, patterns)
-
-    def instance_group(index: int) -> Group:
-        def run() -> list[dict]:
-            fam = instances[index]
-            text = format_sequence(patterns[index].word)
-            cells = []
-            for n in range(n_cap + 1):
-                expected = formulas.total_occurrences(fam, n)
-                actual = _poly_total(rows_all[index][n])
-                cells.append(
-                    _cell(
-                        {"pattern": text, "check": "total"},
-                        n,
-                        expected == actual,
-                        expected,
-                        actual,
-                    )
-                )
-            return cells
-
-        return run
-
-    return [instance_group(i) for i in range(len(instances))]
+    cells = []
+    for fam, pattern, rows in zip(instances, patterns, rows_all):
+        cells += _compare(
+            {"pattern": format_sequence(pattern.word), "check": "total"},
+            [formulas.total_occurrences(fam, n) for n in range(n_cap + 1)],
+            [_poly_total(row) for row in rows],
+        )
+    return cells
 
 
-def _groups_equidistribution(order: int) -> list[Group]:
-    cases = ((2, 2), (2, 3), (3, 2))
+def _groups_equidistribution(order: int) -> list[dict]:
     n_cap = min(order - 1, 12)
     exchange_cap = min(n_cap, 8)
-
-    def case_group(a: int, m: int) -> Group:
-        def run() -> list[dict]:
-            first = RunStaircase(a, m).pattern()
-            second = StaircaseTail(m, a).pattern()
-            rows = stats.batch_distribution_rows(n_cap, [first, second])
-            cells = [
-                _cell(
-                    {"a": a, "m": m, "check": "equidistribution"},
-                    n,
-                    rows[0][n] == rows[1][n],
-                    rows[0][n],
-                    rows[1][n],
-                )
-                for n in range(n_cap + 1)
-            ]
-            mismatches = 0
-            for n in range(1, exchange_cap + 1):
-                for pi in iter_nc(n):
-                    image = map_descent_code(pi)
-                    if count_subword(pi, first) != count_subword(
-                        image, second
-                    ) or count_subword(pi, second) != count_subword(image, first):
-                        mismatches += 1
-            cells.append(
-                _cell(
-                    {"a": a, "m": m, "check": "code-reversal-exchange"},
-                    None,
-                    mismatches == 0,
-                    0,
-                    mismatches,
-                )
+    cells = []
+    for a, m in ((2, 2), (2, 3), (3, 2)):
+        first = RunStaircase(a, m).pattern()
+        second = StaircaseTail(m, a).pattern()
+        rows = stats.batch_distribution_rows(n_cap, [first, second])
+        cells += _compare({"a": a, "m": m, "check": "equidistribution"}, *rows)
+        mismatches = 0
+        for n in range(1, exchange_cap + 1):
+            for pi in iter_nc(n):
+                image = map_descent_code(pi)
+                if count_subword(pi, first) != count_subword(
+                    image, second
+                ) or count_subword(pi, second) != count_subword(image, first):
+                    mismatches += 1
+        cells.append(
+            _cell(
+                {"a": a, "m": m, "check": "code-reversal-exchange"},
+                None,
+                mismatches == 0,
+                0,
+                mismatches,
             )
-            return cells
-
-        return run
-
-    return [case_group(a, m) for a, m in cases]
+        )
+    return cells
 
 
-_TARGET_BUILDERS: dict[str, Callable[[int], list[Group]]] = {
+_TARGET_BUILDERS: dict[str, Callable[[int], list[dict]]] = {
     "table1": _groups_table1,
     "thm2.1": _groups_joint,
     "thm2.4": _groups_rho_tail,
@@ -998,7 +813,7 @@ def run_verify_target(target: str, order: int) -> dict:
     """Run one verification target; the report lists every checked cell."""
     if not 2 <= order <= 16:
         raise ValueError("order must be between 2 and 16")
-    cells = [cell for group in _TARGET_BUILDERS[target](order) for cell in group()]
+    cells = _TARGET_BUILDERS[target](order)
     status = "pass" if all(c["status"] == "pass" for c in cells) else "fail"
     return {"target": target, "order": order, "status": status, "cells": cells}
 
@@ -1082,7 +897,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pattern_flags = argparse.ArgumentParser(add_help=False)
     pattern_flags.add_argument("--pattern", help="pattern word, e.g. 112 or 1,1,2")
-    pattern_flags.add_argument("--family", choices=_FAMILY_NAMES)
+    pattern_flags.add_argument("--family", choices=list(_FAMILIES))
     pattern_flags.add_argument("--a", type=int)
     pattern_flags.add_argument("--b", type=int)
     pattern_flags.add_argument("--m", type=int)

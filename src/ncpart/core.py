@@ -331,6 +331,13 @@ def enumerate_nc(n: int, *, limit: int = DEFAULT_ENUM_LIMIT) -> list[NCPartition
 # ---------------------------------------------------------------------------
 
 
+def _standardise(window: Letters) -> Letters:
+    """The pattern word order-isomorphic to window: the i-th smallest
+    distinct value becomes i."""
+    ranks = {v: r for r, v in enumerate(sorted(set(window)), 1)}
+    return tuple(ranks[v] for v in window)
+
+
 class SubwordPattern:
     """A pattern matched against consecutive windows up to order-isomorphism.
 

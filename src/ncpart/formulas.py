@@ -12,7 +12,6 @@ value was supplied by the caller).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence, Union
 
@@ -28,7 +27,6 @@ from .algebra import (
     solve_quadratic,
 )
 from .core import (
-    Generic,
     PatternFamily,
     RhoTail,
     Run,
@@ -49,7 +47,8 @@ from .errors import (
 from .stats import batch_distribution_rows
 
 __all__ = [
-    "FormulaId",
+    "CLOSED_FORMS",
+    "closed_series",
     "gf_joint_1a_1b2",
     "joint_quadratic",
     "gf_1m",
@@ -67,14 +66,6 @@ __all__ = [
 Rational = Union[int, Fraction]
 
 _HALF = Fraction(1, 2)
-
-
-@dataclass(frozen=True, order=True)
-class FormulaId:
-    """Identifier of one verification suite cell group (tag plus parameters)."""
-
-    tag: str
-    params: tuple = ()
 
 
 def _q() -> MultiPoly:
@@ -414,18 +405,69 @@ def gf_staircase_joint_rep(
 
 
 # ---------------------------------------------------------------------------
-# Closed-form occurrence totals
+# The closed forms of each family: series and occurrence totals
 # ---------------------------------------------------------------------------
 
 FamilyLike = Union[PatternFamily, SubwordPattern, Sequence[int], str]
+SeriesForm = Callable[[PatternFamily, int], TruncatedSeries]
+TotalForm = Callable[[PatternFamily, int], int]
 
 
-def _coerce_family(value: FamilyLike) -> PatternFamily:
-    if isinstance(
-        value, (Run, RunAscent, StaircaseTail, RunStaircase, Sandwich, RhoTail, Generic)
-    ):
-        return value
-    return classify_pattern(as_pattern(value))
+def _total(shift: int, count: Callable[[PatternFamily, int], int]) -> TotalForm:
+    """The total count(family, r) at r = n - len(pattern) + shift; 0 for r < 1,
+    where the pattern cannot fit."""
+
+    def total(fam: PatternFamily, n: int) -> int:
+        r = n - len(fam.pattern().word) + shift
+        return count(fam, r) if r >= 1 else 0
+
+    return total
+
+
+def _staircase_count(fam: PatternFamily, r: int) -> int:
+    numerator = math.comb(2 * r + fam.m, r) * r
+    assert numerator % (2 * r + fam.m) == 0, "staircase total is not integral"
+    return numerator // (2 * r + fam.m)
+
+
+def _staircase_series(fam: PatternFamily, order: int) -> TruncatedSeries:
+    return gf_staircase_tail(fam.m, fam.a, order)
+
+
+#: Each structured family's closed generating series and closed occurrence
+#: total.  ``Generic`` has neither.  The series call the ``gf_*`` functions
+#: through this module's globals.
+CLOSED_FORMS: dict[type, tuple[SeriesForm, TotalForm]] = {
+    Run: (
+        lambda f, order: gf_1m(f.a, order),
+        _total(1, lambda f, r: math.comb(2 * r, r + 1)),
+    ),
+    RunAscent: (
+        lambda f, order: gf_1m2(f.a, order),
+        _total(2, lambda f, r: math.comb(2 * r - 1, r + 1)),
+    ),
+    StaircaseTail: (_staircase_series, _total(1, _staircase_count)),
+    # Shares its distribution with the mirrored staircase-tail pattern.
+    RunStaircase: (_staircase_series, _total(1, _staircase_count)),
+    Sandwich: (
+        lambda f, order: gf_1a_rho_1b(f.a, f.rho, f.b, order),
+        _total(1, lambda f, r: math.comb(2 * r, r + 1)),
+    ),
+    RhoTail: (
+        lambda f, order: gf_rho_1b(f.rho, f.b, order),
+        _total(2, lambda f, r: math.comb(2 * r - 2, r + 1)),
+    ),
+}
+
+
+def closed_series(family: PatternFamily, order: int) -> TruncatedSeries:
+    """The closed generating series (marker q) of a structured family."""
+    forms = CLOSED_FORMS.get(type(family))
+    if forms is None:
+        raise UnsupportedFamily(
+            "no closed form covers this pattern; applicable methods: brute"
+        )
+    return forms[0](family, order)
 
 
 def total_occurrences(family: FamilyLike, n: int) -> int:
@@ -439,41 +481,15 @@ def total_occurrences(family: FamilyLike, n: int) -> int:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    fam = _coerce_family(family)
-    if isinstance(fam, Run):
-        if n < fam.a:
-            return 0
-        r = n - fam.a + 1
-        return math.comb(2 * r, r + 1)
-    if isinstance(fam, RunAscent):
-        if n < fam.a:
-            return 0
-        r = n - fam.a + 1
-        return math.comb(2 * r - 1, r + 1)
-    if isinstance(fam, RhoTail):
-        a = len(fam.rho)
-        if n < a + fam.b - 1:
-            return 0
-        r = n - a - fam.b + 2
-        return math.comb(2 * r - 2, r + 1)
-    if isinstance(fam, Sandwich):
-        m = len(fam.rho)
-        if n < m + fam.a + fam.b - 1:
-            return 0
-        r = n - m - fam.a - fam.b + 1
-        return math.comb(2 * r, r + 1)
-    if isinstance(fam, (StaircaseTail, RunStaircase)):
-        m, a = (fam.m, fam.a)
-        if n < a + m - 1:
-            return 0
-        r = n - a - m + 2
-        numerator = math.comb(2 * r + m, r) * r
-        assert numerator % (2 * r + m) == 0, "staircase total is not integral"
-        return numerator // (2 * r + m)
-    raise UnsupportedFamily(
-        f"no closed-form total for pattern {fam.pattern().text!r}; "
-        "fall back to the q-derivative of the brute-force distribution at q=1"
-    )
+    if not isinstance(family, PatternFamily):
+        family = classify_pattern(as_pattern(family))
+    forms = CLOSED_FORMS.get(type(family))
+    if forms is None:
+        raise UnsupportedFamily(
+            f"no closed-form total for pattern {family.pattern().text!r}; "
+            "fall back to the q-derivative of the brute-force distribution at q=1"
+        )
+    return forms[1](family, n)
 
 
 # ---------------------------------------------------------------------------

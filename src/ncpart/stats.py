@@ -20,6 +20,7 @@ from .core import (
     DEFAULT_ENUM_LIMIT,
     NCPartition,
     SubwordPattern,
+    _standardise,
     as_ncpartition,
     as_pattern,
     catalan,
@@ -128,12 +129,6 @@ def _check_size(n: int) -> None:
         raise LimitExceeded(
             f"n = {n} exceeds the enumeration limit {DEFAULT_ENUM_LIMIT}"
         )
-
-
-def _standardise(window: Letters) -> Letters:
-    """The pattern word order-isomorphic to window."""
-    ranks = {v: r for r, v in enumerate(sorted(set(window)), 1)}
-    return tuple(ranks[v] for v in window)
 
 
 def _walk(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:

@@ -1,12 +1,19 @@
 """End-to-end tests of the command line interface (in-process)."""
 
+import argparse
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncpart.cli import entry
+from ncpart.cli import build_parser, entry
 
 
 def run_cli(capsys, *args):
@@ -399,3 +406,102 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["111", "112", "121", "122", "123"]
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract over arbitrary argv
+# ---------------------------------------------------------------------------
+
+
+def _subcommand_flags() -> dict[str, dict[str, argparse.Action]]:
+    """Every subcommand of the real parser: its long flags and their actions."""
+    sub = next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        name: {opt: action for action in p._actions
+               for opt in action.option_strings if opt.startswith("--")}
+        for name, p in sub.choices.items()
+    }
+
+
+_FLAGS = _subcommand_flags()
+_ALL_FLAGS = sorted({flag for flags in _FLAGS.values() for flag in flags})
+
+_junk = st.sampled_from(["", "x", "-", "1,,2", "1/0", "..", "9" * 30])
+_word = st.lists(st.integers(0, 4), max_size=6).flatmap(
+    lambda letters: st.sampled_from(
+        ["".join(map(str, letters)), ",".join(map(str, letters))]
+    )
+)
+_fixed = {
+    "--v": ["0", "1", "2", "-1", "1/2", "3/4"],
+    "--out": [os.path.join(os.sep, "nonexistent-ncpart-dir", "report.json")],
+}
+
+
+def _value(name: str, flag: str) -> st.SearchStrategy[str]:
+    """Mostly a well-formed value for flag, one time in ten junk.  Sizes
+    stay at most 7 and orders at most 8, so that every call is fast."""
+    choices = getattr(_FLAGS.get(name, {}).get(flag), "choices", None)
+    if choices:
+        known = st.sampled_from(list(choices))
+    elif flag in _fixed:
+        known = st.sampled_from(_fixed[flag])
+    elif (name, flag) == ("equivclasses", "--n"):
+        known = st.tuples(st.integers(-1, 7), st.integers(-1, 7)).map(
+            lambda r: f"{r[0]}..{r[1]}"
+        )
+    elif flag == "--n":
+        known = st.integers(-1, 7).map(str)
+    elif flag == "--order":
+        known = st.integers(-1, 8).map(str)
+    elif flag in ("--a", "--b", "--m", "--len"):
+        known = st.integers(-1, 6).map(str)
+    else:
+        known = _word
+    return st.integers(0, 9).flatmap(lambda k: _junk if k == 9 else known)
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    """A subcommand (rarely an unknown one), each required flag with
+    probability 9/10 and each other flag with probability 1/2, and rarely
+    a foreign flag or --help.  verify always gets --order: its default
+    orders take seconds."""
+    name = draw(st.sampled_from(sorted(_FLAGS) + ["nope"]))
+    argv = [name]
+    own = {
+        flag: action.required
+        for flag, action in _FLAGS.get(name, {}).items()
+        if flag != "--help"
+    }
+    for flag in draw(st.permutations(sorted(own))):
+        forced = (name, flag) == ("verify", "--order")
+        if forced or draw(st.integers(0, 9)) < (9 if own[flag] else 5):
+            argv.append(flag)
+            if flag != "--no-cache":
+                argv.append(draw(_value(name, flag)))
+    if draw(st.integers(0, 9)) == 9:
+        flag = draw(st.sampled_from(_ALL_FLAGS))
+        argv += [flag, draw(_value(name, flag))]
+    if draw(st.integers(0, 19)) == 19:
+        argv.append("--help")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_any_argv_exits_0_1_or_2_without_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        os.environ.pop("NCPART_CACHE", None)
+        try:
+            code = entry(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

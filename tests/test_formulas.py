@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 from ncpart.algebra import MultiPoly, TruncatedSeries
+from ncpart.cli import MAX_ORDER, _totals_instances
 from ncpart.core import RhoTail, Sandwich, StaircaseTail, classify_pattern
 from ncpart.errors import UnsupportedFamily
 from ncpart.formulas import (
     TABLE1_PATTERNS,
+    closed_series,
     gf_1a_rho_1b,
     gf_1m,
     gf_1m2,
@@ -163,8 +165,20 @@ def test_total_occurrences_matches_brute_derivative():
 def test_total_occurrences_rejects_generic():
     with pytest.raises(UnsupportedFamily):
         total_occurrences("212", 5)
+    with pytest.raises(UnsupportedFamily):
+        closed_series(classify_pattern("212"), 5)
     with pytest.raises(ValueError):
         total_occurrences("11", -1)
+
+
+def test_closed_series_and_total_agree_up_to_the_served_order():
+    """d/dq at q=1 of each closed series is the closed total, for every
+    family the totals suite covers, at every size the CLI serves."""
+    for fam in _totals_instances():
+        series = closed_series(fam, MAX_ORDER)
+        for n in range(MAX_ORDER):
+            derivative = sum(c * e[0] for e, c in series.coefficient(n).items())
+            assert derivative == total_occurrences(fam, n), (fam, n)
 
 
 # ---------------------------------------------------------------------------
