@@ -6,7 +6,13 @@ import pytest
 
 from ncpart.algebra import MultiPoly, TruncatedSeries
 from ncpart.cli import MAX_ORDER, _totals_instances
-from ncpart.core import RhoTail, Sandwich, StaircaseTail, classify_pattern
+from ncpart.core import (
+    RhoTail,
+    RunStaircase,
+    Sandwich,
+    StaircaseTail,
+    classify_pattern,
+)
 from ncpart.errors import UnsupportedFamily
 from ncpart.formulas import (
     TABLE1_PATTERNS,
@@ -173,8 +179,10 @@ def test_total_occurrences_rejects_generic():
 
 def test_closed_series_and_total_agree_up_to_the_served_order():
     """d/dq at q=1 of each closed series is the closed total, for every
-    family the totals suite covers, at every size the CLI serves."""
-    for fam in _totals_instances():
+    family the totals suite covers and the mirrored run-staircase ones,
+    at every size the CLI serves."""
+    mirrored = [RunStaircase(a, m) for m in range(2, 5) for a in range(2, 7 - m)]
+    for fam in _totals_instances() + mirrored:
         series = closed_series(fam, MAX_ORDER)
         for n in range(MAX_ORDER):
             derivative = sum(c * e[0] for e, c in series.coefficient(n).items())
