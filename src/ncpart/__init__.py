@@ -14,7 +14,7 @@ The package has seven layers:
     tables over all partitions of each size.
 ``formulas``
     Closed-form generating series for every covered pattern family,
-    plus total-occurrence counts and the equation-table verifier.
+    plus total-occurrence counts.
 ``recurrence``
     An independent route to the staircase-tail series through a refined
     recurrence on the smallest repeated letter.
@@ -22,7 +22,9 @@ The package has seven layers:
     Constructive maps that explain the coincidences among distributions:
     occurrence exchanges, run reversals, and descent-code reversal.
 ``cli``
-    The ``ncpart`` command-line front end with its verification suites.
+    The ``ncpart`` command-line front end with its verification suites,
+    which check each route against the others; Table 1's stored
+    equations and their mutation hook live there.
 """
 
 from .algebra import (
@@ -81,8 +83,8 @@ from .errors import (
     PatternLengthMismatch,
     UnsupportedFamily,
 )
+from .cli import TABLE1_PATTERNS, table1_mutation_slots, verify_table1
 from .formulas import (
-    TABLE1_PATTERNS,
     gf_1a_rho_1b,
     gf_1m,
     gf_1m2,
@@ -91,9 +93,7 @@ from .formulas import (
     gf_staircase_joint_rep,
     gf_staircase_tail,
     joint_quadratic,
-    table1_mutation_slots,
     total_occurrences,
-    verify_table1,
 )
 from .recurrence import (
     StaircaseRecurrence,
@@ -173,7 +173,6 @@ __all__ = [
     "rep_joint_distribution",
     "rep_joint_rows",
     # formulas
-    "TABLE1_PATTERNS",
     "joint_quadratic",
     "gf_joint_1a_1b2",
     "gf_1m",
@@ -183,8 +182,6 @@ __all__ = [
     "gf_staircase_tail",
     "gf_staircase_joint_rep",
     "total_occurrences",
-    "table1_mutation_slots",
-    "verify_table1",
     # recurrence
     "StaircaseRecurrence",
     "recurrence_table",
@@ -197,4 +194,8 @@ __all__ = [
     "map_f",
     "map_g",
     "map_runrev",
+    # cli
+    "TABLE1_PATTERNS",
+    "table1_mutation_slots",
+    "verify_table1",
 ]

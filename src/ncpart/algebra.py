@@ -131,10 +131,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def constant_term(self) -> Fraction:
-        """The coefficient of the marker-free term."""
-        return self._terms.get(_ZERO_EXP, Fraction(0))
-
     def as_constant(self) -> Fraction | None:
         """This polynomial as a rational if it has no marker, else None."""
         if not self._terms:
@@ -154,11 +150,6 @@ class MultiPoly:
 
     def has_nonnegative_coeffs(self) -> bool:
         return all(c > 0 for c in self._terms.values())
-
-    def total_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(sum(e) for e in self._terms)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -518,10 +509,6 @@ class TruncatedSeries:
     def substitute(self, **values: Union[Rational, MultiPoly]) -> "TruncatedSeries":
         """Substitute marker values in every coefficient."""
         return self.map_coeffs(lambda c: c.substitute(**values))
-
-    def derivative_marker(self, name: str) -> "TruncatedSeries":
-        """Differentiate every coefficient with respect to a marker."""
-        return self.map_coeffs(lambda c: c.derivative(name))
 
     # -- arithmetic --------------------------------------------------------
 

@@ -39,6 +39,7 @@ from .core import (
     RhoTail,
     Sandwich,
     SubwordPattern,
+    _param_key,
     _standardise,
     as_ncpartition,
     as_pattern,
@@ -67,16 +68,6 @@ PatternLike = Union[SubwordPattern, Sequence[int], str]
 _PARAM_CACHE_SIZE = 256
 #: Distinct windows whose standardization is kept.
 _STD_CACHE_SIZE = 1 << 12
-
-
-def _param_key(value: Union[RhoTail, PatternLike]) -> Hashable:
-    """A hashable normal form of a pattern-like map parameter.
-
-    Families, patterns and text stay as they are; any other sequence
-    becomes a tuple of ints, as every resolver would read it."""
-    if isinstance(value, (str, SubwordPattern, RhoTail)):
-        return value
-    return tuple(map(int, value))
 
 
 _std = functools.lru_cache(maxsize=_STD_CACHE_SIZE)(_standardise)

@@ -51,7 +51,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import formulas, stats
-from .algebra import MultiPoly, TruncatedSeries
+from .algebra import MultiPoly, TruncatedSeries, catalan_series
 from .bijections import map_descent_code, map_equiv, map_f, map_g, map_runrev
 from .core import (
     DEFAULT_ENUM_LIMIT,
@@ -64,6 +64,7 @@ from .core import (
     StaircaseTail,
     SubwordPattern,
     as_pattern,
+    catalan,
     classify_pattern,
     enumerate_nc,
     format_sequence,
@@ -74,7 +75,15 @@ from .errors import LimitExceeded, NcpartError, UnsupportedFamily
 from .recurrence import recurrence_table, staircase_series_by_recurrence
 from .stats import count_subword
 
-__all__ = ["RunConfig", "build_parser", "entry", "run_verify_target"]
+__all__ = [
+    "RunConfig",
+    "TABLE1_PATTERNS",
+    "build_parser",
+    "entry",
+    "run_verify_target",
+    "table1_mutation_slots",
+    "verify_table1",
+]
 
 #: Hard ceiling on requested series orders.
 MAX_ORDER = 24
@@ -88,31 +97,6 @@ _FAMILIES: dict[str, type] = {
     "sandwich": Sandwich,
     "rho-tail": RhoTail,
 }
-
-_VERIFY_TARGETS = (
-    "table1",
-    "thm2.1",
-    "thm2.4",
-    "thm2.7",
-    "thm3.3",
-    "thm3.3-joint",
-    "lemma3.1",
-    "totals",
-    "thm3.5",
-)
-
-_VERIFY_DEFAULT_ORDER: dict[str, int] = {
-    "table1": 13,
-    "thm2.1": 11,
-    "thm2.4": 13,
-    "thm2.7": 13,
-    "thm3.3": 13,
-    "thm3.3-joint": 10,
-    "lemma3.1": 11,
-    "totals": 13,
-    "thm3.5": 13,
-}
-
 
 # ---------------------------------------------------------------------------
 # Run configuration
@@ -568,8 +552,97 @@ def _compare(params: dict, expected: Sequence, actual: Sequence) -> list[dict]:
     ]
 
 
-def _groups_table1(order: int) -> list[dict]:
-    return formulas.verify_table1(order)["cells"]
+# Table 1: each length-3 row's stored quadratic A*F^2 - B*F + C = 0, and the
+# series the row's equation and brute-force coefficients are checked against.
+
+_TABLE1_SERIES: dict[str, Callable[[int], TruncatedSeries]] = {
+    "111": lambda order: formulas.gf_1m(3, order),
+    "112": lambda order: formulas.gf_1m2(2, order),
+    "121": lambda order: formulas.gf_1a_rho_1b(1, (1,), 1, order),
+    "122": lambda order: formulas.gf_staircase_tail(2, 2, order),
+    "211": lambda order: formulas.gf_rho_1b((1,), 2, order),
+    "212": catalan_series,
+    "221": lambda order: formulas.gf_rho_1b((1, 1), 1, order),
+}
+
+TABLE1_PATTERNS: tuple[str, ...] = tuple(_TABLE1_SERIES)
+
+#: One stored equation coefficient: (pattern, part, x power, marker exponents).
+MutationSlot = tuple[str, str, int, tuple[int, int, int]]
+
+
+def _table1_equations() -> dict[str, dict[str, dict[int, MultiPoly]]]:
+    """A fresh copy of the stored equations: {pattern: {part: {x power:
+    coefficient}}} for the parts A, B and C."""
+    one = MultiPoly.one()
+    q = MultiPoly.marker("q")
+    qm1 = q - one
+    return {
+        "111": {
+            "A": {1: one, 2: -q, 3: qm1},
+            "B": {0: one, 1: -q, 3: qm1},
+            "C": {0: one, 1: -q, 3: qm1},
+        },
+        "112": {"A": {1: one, 2: qm1}, "B": {0: one, 2: qm1}, "C": {0: one}},
+        "121": {"A": {1: one}, "B": {0: one, 2: -qm1}, "C": {0: one, 2: -qm1}},
+        "122": {"A": {1: one, 2: qm1}, "B": {0: one, 2: qm1}, "C": {0: one}},
+        "211": {
+            "A": {1: one, 2: qm1},
+            "B": {0: one, 2: qm1.scale(2)},
+            "C": {0: one, 2: qm1},
+        },
+        "212": {"A": {1: one}, "B": {0: one}, "C": {0: one}},
+        "221": {
+            "A": {1: one, 2: qm1},
+            "B": {0: one, 2: qm1.scale(2)},
+            "C": {0: one, 2: qm1},
+        },
+    }
+
+
+def table1_mutation_slots() -> list[MutationSlot]:
+    """Every stored coefficient of the equation table, as an addressable
+    slot (pattern, equation part, x power, marker exponents)."""
+    return [
+        (pattern, part, x_exp, exps)
+        for pattern, parts in _table1_equations().items()
+        for part, terms in parts.items()
+        for x_exp, poly in sorted(terms.items())
+        for exps, _coeff in poly.items()
+    ]
+
+
+def _groups_table1(order: int, mutation: MutationSlot | None = None) -> list[dict]:
+    """Per row: one cell for the residual of its equation at its series, and
+    one cell per size n <= min(order - 1, 12) comparing the series with
+    brute force.  ``mutation`` first adds 1 to one stored coefficient."""
+    equations = _table1_equations()
+    if mutation is not None:
+        pattern, part, x_exp, exps = mutation
+        if pattern not in equations:
+            raise ValueError(f"mutation targets unknown row {pattern!r}")
+        terms = equations[pattern][part]
+        terms[x_exp] = terms.get(x_exp, MultiPoly.zero()) + MultiPoly({exps: 1})
+    n_cap = min(order - 1, 12)
+    brute = stats.batch_distribution_rows(n_cap, TABLE1_PATTERNS)
+    cells = []
+    for (pattern, parts), rows in zip(equations.items(), brute):
+        series = _TABLE1_SERIES[pattern](order)
+        eq_a, eq_b, eq_c = (
+            TruncatedSeries.from_x_poly(parts[key], order) for key in "ABC"
+        )
+        cells.append(
+            _zero_cell(
+                {"pattern": pattern, "check": "equation"},
+                eq_a * series * series - eq_b * series + eq_c,
+            )
+        )
+        cells += _compare(
+            {"pattern": pattern, "check": "coefficient"},
+            rows,
+            series.coeffs[: n_cap + 1],
+        )
+    return cells
 
 
 _Q_MONO = MultiPoly({(1, 0, 0): Fraction(1)})
@@ -709,18 +782,45 @@ def _groups_staircase_joint(order: int) -> list[dict]:
 
 
 def _groups_refined(order: int) -> list[dict]:
+    """Lemma 3.1: each refined recurrence cell, and the count of partitions
+    that cannot hold an occurrence (C_(a-1), with none), against the
+    brute-force rows split by smallest repeated letter."""
     n_cap = min(order - 1, 10)
     cells = []
     for m, a in ((2, 2), (3, 2), (2, 3)):
         table = recurrence_table(m, a)
+        rows = stats.rep_joint_rows(n_cap, StaircaseTail(m, a).pattern())
         for n in range(a, n_cap + 1):
-            report = table.refined_check(n)
-            failing = [e for e in report["cells"] if e["status"] != "pass"]
+            top = n - a + 1
+            by_rep: dict[int, MultiPoly] = {}
+            for (eq, ep, ev), coeff in rows[n].items():
+                assert ep == 0
+                term = MultiPoly({(eq, 0, 0): coeff})
+                by_rep[ev] = by_rep.get(ev, MultiPoly.zero()) + term
+            boundary = sum(
+                (poly for r, poly in by_rep.items() if not 1 <= r <= top),
+                MultiPoly.zero(),
+            )
+            checks = [
+                (r, by_rep.get(r, MultiPoly.zero()), table.cell(n, r))
+                for r in range(1, top + 1)
+            ]
+            checks.append((None, MultiPoly.const(catalan(a - 1)), boundary))
+            failing = [
+                {
+                    "rep": r,
+                    "status": "fail",
+                    "expected": want.to_json_obj(),
+                    "actual": got.to_json_obj(),
+                }
+                for r, want, got in checks
+                if want != got
+            ]
             cells.append(
                 _cell(
                     {"m": m, "a": a, "check": "refined-cells"},
                     n,
-                    report["status"] == "pass",
+                    not failing,
                     [],
                     failing,
                 )
@@ -796,26 +896,43 @@ def _groups_equidistribution(order: int) -> list[dict]:
     return cells
 
 
-_TARGET_BUILDERS: dict[str, Callable[[int], list[dict]]] = {
-    "table1": _groups_table1,
-    "thm2.1": _groups_joint,
-    "thm2.4": _groups_rho_tail,
-    "thm2.7": _groups_sandwich,
-    "thm3.3": _groups_staircase,
-    "thm3.3-joint": _groups_staircase_joint,
-    "lemma3.1": _groups_refined,
-    "totals": _groups_totals,
-    "thm3.5": _groups_equidistribution,
+#: Each verify target's suite and default order, in the order of
+#: ``--target all``.
+_VERIFY: dict[str, tuple[Callable[[int], list[dict]], int]] = {
+    "table1": (_groups_table1, 13),
+    "thm2.1": (_groups_joint, 11),
+    "thm2.4": (_groups_rho_tail, 13),
+    "thm2.7": (_groups_sandwich, 13),
+    "thm3.3": (_groups_staircase, 13),
+    "thm3.3-joint": (_groups_staircase_joint, 10),
+    "lemma3.1": (_groups_refined, 11),
+    "totals": (_groups_totals, 13),
+    "thm3.5": (_groups_equidistribution, 13),
 }
+
+
+def _report(target: str, order: int, suite: Callable[[int], list[dict]]) -> dict:
+    if not 2 <= order <= 16:
+        raise ValueError("order must be between 2 and 16")
+    cells = suite(order)
+    status = "pass" if all(c["status"] == "pass" for c in cells) else "fail"
+    return {"target": target, "order": order, "status": status, "cells": cells}
 
 
 def run_verify_target(target: str, order: int) -> dict:
     """Run one verification target; the report lists every checked cell."""
-    if not 2 <= order <= 16:
-        raise ValueError("order must be between 2 and 16")
-    cells = _TARGET_BUILDERS[target](order)
-    status = "pass" if all(c["status"] == "pass" for c in cells) else "fail"
-    return {"target": target, "order": order, "status": status, "cells": cells}
+    return _report(target, order, _VERIFY[target][0])
+
+
+def verify_table1(order: int = 13, mutation: MutationSlot | None = None) -> dict:
+    """The ``table1`` report, with ``mutation`` (one slot of
+    :func:`table1_mutation_slots`) first adding 1 to that stored equation
+    coefficient; the deliberate-mutation self-test uses this to prove the
+    suite would catch a wrong table."""
+    report = _report("table1", order, lambda k: _groups_table1(k, mutation))
+    if mutation is not None:
+        report["mutation"] = list(mutation[:3]) + [list(mutation[3])]
+    return report
 
 
 def _verify_text(report: dict) -> list[str]:
@@ -843,25 +960,20 @@ def cmd_verify(cfg: RunConfig) -> int:
                 pass
         except OSError as exc:
             raise ValueError(f"cannot write --out {cfg.out}: {exc.strerror}") from None
+    targets = list(_VERIFY) if target == "all" else [target]
+    reports = [run_verify_target(t, cfg.order or _VERIFY[t][1]) for t in targets]
+    status = "pass" if all(r["status"] == "pass" for r in reports) else "fail"
     if target == "all":
-        reports = [
-            run_verify_target(t, cfg.order or _VERIFY_DEFAULT_ORDER[t])
-            for t in _VERIFY_TARGETS
-        ]
-        status = "pass" if all(r["status"] == "pass" for r in reports) else "fail"
         report = {
             "target": "all",
             "order": cfg.order,
             "status": status,
             "reports": reports,
         }
-        lines = [line for r in reports for line in _verify_text(r)]
-        lines.append(f"verification {'passed' if status == 'pass' else 'failed'}")
     else:
-        report = run_verify_target(target, cfg.order or _VERIFY_DEFAULT_ORDER[target])
-        status = report["status"]
-        lines = _verify_text(report)
-        lines.append(f"verification {'passed' if status == 'pass' else 'failed'}")
+        report = reports[0]
+    lines = [line for r in reports for line in _verify_text(r)]
+    lines.append(f"verification {'passed' if status == 'pass' else 'failed'}")
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
@@ -947,7 +1059,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", parents=[common], help="run a cross-check suite"
     )
     p_verify.add_argument(
-        "--target", choices=_VERIFY_TARGETS + ("all",), required=True
+        "--target", choices=(*_VERIFY, "all"), required=True
     )
     p_verify.add_argument("--order", type=int)
     p_verify.add_argument("--out", help="write the JSON report to this file")

@@ -11,6 +11,7 @@ with a != b.
 from __future__ import annotations
 
 import math
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -181,10 +182,6 @@ class CanonicalSeq:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @classmethod
-    def from_text(cls, text: str) -> "CanonicalSeq":
-        return cls(parse_sequence(text))
 
     @property
     def n(self) -> int:
@@ -369,10 +366,6 @@ class SubwordPattern:
     def text(self) -> str:
         return format_sequence(self.word)
 
-    @property
-    def alphabet_size(self) -> int:
-        return max(self.word)
-
     def __len__(self) -> int:
         return len(self.word)
 
@@ -398,6 +391,17 @@ def as_pattern(value: Union[SubwordPattern, Sequence[int], str]) -> SubwordPatte
     if isinstance(value, SubwordPattern):
         return value
     return SubwordPattern(value)
+
+
+def _param_key(value: object) -> Hashable:
+    """A hashable normal form of a pattern-like parameter, for the caches
+    that resolve each distinct pattern once.
+
+    Families, patterns and text stay as they are; any other sequence
+    becomes a tuple of ints, as :class:`SubwordPattern` would read it."""
+    if isinstance(value, (str, SubwordPattern, RhoTail)):
+        return value
+    return tuple(map(int, value))
 
 
 def _validate_rho(rho: Letters, *, single_start: bool) -> None:

@@ -1,12 +1,16 @@
-"""Closed-form generating functions for the covered pattern families,
-closed-form occurrence totals, and the re-derivable equation table with its
-deliberate-mutation hook.
+"""Closed-form generating functions for the covered pattern families and
+their closed-form occurrence totals.
 
 Every generating function returns a :class:`TruncatedSeries` whose
 coefficients are exact polynomials in the markers.  After each evaluation
 the series is checked to be combinatorial: integer, nonnegative
 coefficients (rationals may appear only when a rational specialization
 value was supplied by the caller).
+
+This module is one of the package's independent routes to a distribution;
+it never calls the brute-force engine in ``stats``.  The checks of these
+series against brute force, Table 1's equations among them, are the verify
+suites in ``cli``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from .algebra import (
     DEFAULT_ORDER,
     MultiPoly,
     TruncatedSeries,
-    catalan_series,
     series_div,
     series_inv,
     series_sqrt,
@@ -44,7 +47,6 @@ from .errors import (
     UnsupportedFamily,
     VSpecializationSingular,
 )
-from .stats import batch_distribution_rows
 
 __all__ = [
     "CLOSED_FORMS",
@@ -58,14 +60,9 @@ __all__ = [
     "gf_staircase_tail",
     "gf_staircase_joint_rep",
     "total_occurrences",
-    "verify_table1",
-    "table1_mutation_slots",
-    "TABLE1_PATTERNS",
 ]
 
 Rational = Union[int, Fraction]
-
-_HALF = Fraction(1, 2)
 
 
 def _q() -> MultiPoly:
@@ -490,165 +487,3 @@ def total_occurrences(family: FamilyLike, n: int) -> int:
             "fall back to the q-derivative of the brute-force distribution at q=1"
         )
     return forms[1](family, n)
-
-
-# ---------------------------------------------------------------------------
-# The seven-row equation table and its verification
-# ---------------------------------------------------------------------------
-
-
-def _table1_rows() -> list[dict]:
-    """Structured data for the seven length-3 pattern rows: each row's
-    quadratic A*F^2 - B*F + C = 0 and the producer of its series."""
-    q = _q()
-    one = MultiPoly.one()
-    qm1 = q - one
-
-    def producer(key: str) -> Callable[[int], TruncatedSeries]:
-        table: dict[str, Callable[[int], TruncatedSeries]] = {
-            "111": lambda n: gf_1m(3, n),
-            "112": lambda n: gf_1m2(2, n),
-            "121": lambda n: gf_1a_rho_1b(1, (1,), 1, n),
-            "122": lambda n: gf_staircase_tail(2, 2, n),
-            "211": lambda n: gf_rho_1b((1,), 2, n),
-            "212": lambda n: catalan_series(n),
-            "221": lambda n: gf_rho_1b((1, 1), 1, n),
-        }
-        return table[key]
-
-    rows = [
-        {
-            "pattern": "111",
-            "A": {1: one, 2: -q, 3: qm1},
-            "B": {0: one, 1: -q, 3: qm1},
-            "C": {0: one, 1: -q, 3: qm1},
-        },
-        {
-            "pattern": "112",
-            "A": {1: one, 2: qm1},
-            "B": {0: one, 2: qm1},
-            "C": {0: one},
-        },
-        {
-            "pattern": "121",
-            "A": {1: one},
-            "B": {0: one, 2: -qm1},
-            "C": {0: one, 2: -qm1},
-        },
-        {
-            "pattern": "122",
-            "A": {1: one, 2: qm1},
-            "B": {0: one, 2: qm1},
-            "C": {0: one},
-        },
-        {
-            "pattern": "211",
-            "A": {1: one, 2: qm1},
-            "B": {0: one, 2: qm1.scale(2)},
-            "C": {0: one, 2: qm1},
-        },
-        {
-            "pattern": "212",
-            "A": {1: one},
-            "B": {0: one},
-            "C": {0: one},
-        },
-        {
-            "pattern": "221",
-            "A": {1: one, 2: qm1},
-            "B": {0: one, 2: qm1.scale(2)},
-            "C": {0: one, 2: qm1},
-        },
-    ]
-    for row in rows:
-        row["producer"] = producer(row["pattern"])
-    return rows
-
-
-TABLE1_PATTERNS: tuple[str, ...] = ("111", "112", "121", "122", "211", "212", "221")
-
-MutationSlot = tuple[str, str, int, tuple[int, int, int]]
-
-
-def table1_mutation_slots() -> list[MutationSlot]:
-    """Every stored coefficient of the equation table, as an addressable
-    slot (pattern, equation part, x power, marker exponents)."""
-    slots: list[MutationSlot] = []
-    for row in _table1_rows():
-        for part in ("A", "B", "C"):
-            for x_exp, poly in sorted(row[part].items()):
-                for exps, _coeff in poly.items():
-                    slots.append((row["pattern"], part, x_exp, exps))
-    return slots
-
-
-def _apply_mutation(
-    rows: list[dict], mutation: MutationSlot | None
-) -> None:
-    if mutation is None:
-        return
-    pattern, part, x_exp, exps = mutation
-    for row in rows:
-        if row["pattern"] == pattern:
-            poly = row[part].get(x_exp, MultiPoly.zero())
-            row[part] = dict(row[part])
-            row[part][x_exp] = poly + MultiPoly({exps: 1})
-            return
-    raise ValueError(f"mutation targets unknown row {pattern!r}")
-
-
-def verify_table1(order: int = 13, mutation: MutationSlot | None = None) -> dict:
-    """Re-derive all seven rows of the equation table and compare with
-    brute force.
-
-    Each row yields one residual cell (the row's quadratic, re-expanded
-    against the produced series, must vanish identically mod x^order) and
-    one coefficient cell per size n <= min(order-1, 12) (the produced
-    coefficient must equal the brute-force distribution).
-
-    ``mutation`` adds +1 to one stored equation coefficient first; the
-    deliberate-mutation self-test uses this to prove the verification
-    would catch a wrong table.
-    """
-    if not 2 <= order <= 16:
-        raise ValueError("order must be between 2 and 16")
-    rows = _table1_rows()
-    _apply_mutation(rows, mutation)
-    n_max = min(order - 1, 12)
-    brute = batch_distribution_rows(n_max, TABLE1_PATTERNS)
-    cells = []
-    for idx, row in enumerate(rows):
-        series = row["producer"](order)
-        A = TruncatedSeries.from_x_poly(row["A"], order)
-        B = TruncatedSeries.from_x_poly(row["B"], order)
-        C = TruncatedSeries.from_x_poly(row["C"], order)
-        residual = A * series * series - B * series + C
-        val = residual.valuation()
-        cells.append(
-            {
-                "params": {"pattern": row["pattern"], "check": "equation"},
-                "n": None,
-                "status": "pass" if val is None else "fail",
-                "expected": [],
-                "actual": []
-                if val is None
-                else residual.coefficient(val).to_json_obj(),
-            }
-        )
-        for n in range(n_max + 1):
-            expected = brute[idx][n]
-            actual = series.coefficient(n)
-            cells.append(
-                {
-                    "params": {"pattern": row["pattern"], "check": "coefficient"},
-                    "n": n,
-                    "status": "pass" if expected == actual else "fail",
-                    "expected": expected.to_json_obj(),
-                    "actual": actual.to_json_obj(),
-                }
-            )
-    status = "pass" if all(c["status"] == "pass" for c in cells) else "fail"
-    report = {"target": "table1", "order": order, "status": status, "cells": cells}
-    if mutation is not None:
-        report["mutation"] = list(mutation[:3]) + [list(mutation[3])]
-    return report

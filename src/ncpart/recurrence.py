@@ -20,16 +20,17 @@ C_(a-1) to every total.
 Two expansions of ``cell`` are implemented — ``cell`` folds the
 smallest split of the recursion into the sum, ``cell_split`` keeps that
 boundary term explicit — and they must agree term by term.
+
+The recurrence is an independent route to the distribution: this module
+never calls the brute-force engine in ``stats``.  The ``lemma3.1`` verify
+suite in ``cli`` compares every refined cell against brute force.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import MultiPoly, TruncatedSeries
 from .core import StaircaseTail, catalan
 from .errors import IndexOutOfRange
-from .stats import rep_joint_rows
 
 __all__ = [
     "StaircaseRecurrence",
@@ -139,54 +140,6 @@ class StaircaseRecurrence:
         if order < 1:
             raise ValueError("order must be >= 1")
         return TruncatedSeries([self.total(n) for n in range(order)])
-
-    def refined_check(self, n: int) -> dict:
-        """Compare every refined cell at size n against brute force.
-
-        Returns a report with one entry per smallest-repeated-letter value
-        plus one for the boundary count (partitions that cannot contain an
-        occurrence must number C_(a-1) and carry no occurrences).
-        Raises nothing; the caller inspects ``status``.
-        """
-        if n < self.a:
-            raise IndexOutOfRange(
-                f"refined cells exist only for n >= {self.a}, got n = {n}"
-            )
-        word = tuple(range(1, self.m)) + (self.m,) * self.a
-        brute_row = rep_joint_rows(n, word)[n]
-        by_rep: dict[int, MultiPoly] = {}
-        for (eq, ep, ev), coeff in brute_row.items():
-            assert ep == 0
-            by_rep[ev] = by_rep.get(ev, MultiPoly.zero()) + MultiPoly(
-                {(eq, 0, 0): coeff}
-            )
-        entries = []
-        for r in range(1, n - self.a + 2):
-            expected = by_rep.get(r, MultiPoly.zero())
-            actual = self.cell(n, r)
-            entries.append(
-                {
-                    "rep": r,
-                    "status": "pass" if expected == actual else "fail",
-                    "expected": expected.to_json_obj(),
-                    "actual": actual.to_json_obj(),
-                }
-            )
-        boundary = MultiPoly.zero()
-        for r, poly in by_rep.items():
-            if r == 0 or r > n - self.a + 1:
-                boundary = boundary + poly
-        boundary_ok = boundary == MultiPoly.const(catalan(self.a - 1))
-        entries.append(
-            {
-                "rep": None,
-                "status": "pass" if boundary_ok else "fail",
-                "expected": MultiPoly.const(catalan(self.a - 1)).to_json_obj(),
-                "actual": boundary.to_json_obj(),
-            }
-        )
-        status = "pass" if all(e["status"] == "pass" for e in entries) else "fail"
-        return {"m": self.m, "a": self.a, "n": n, "status": status, "cells": entries}
 
 
 _TABLES: dict[tuple[int, int, bool], StaircaseRecurrence] = {}

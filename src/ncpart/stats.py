@@ -12,6 +12,8 @@ does not grow with the number of patterns in a batch.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -20,6 +22,7 @@ from .core import (
     DEFAULT_ENUM_LIMIT,
     NCPartition,
     SubwordPattern,
+    _param_key,
     _standardise,
     as_ncpartition,
     as_pattern,
@@ -46,9 +49,10 @@ __all__ = [
 Letters = tuple[int, ...]
 PatternLike = Union[SubwordPattern, Sequence[int], str]
 PartitionLike = Union[NCPartition, Sequence[int], str]
+Constraints = tuple[tuple[int, int, int], ...]
 
 
-def _pair_constraints(word: Letters) -> tuple[tuple[int, int, int], ...]:
+def _pair_constraints(word: Letters) -> Constraints:
     """All (i, j, sign) order constraints of a pattern word, i < j."""
     out = []
     for j in range(1, len(word)):
@@ -58,9 +62,7 @@ def _pair_constraints(word: Letters) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-def _window_matches(
-    letters: Sequence[int], start: int, pairs: tuple[tuple[int, int, int], ...]
-) -> bool:
+def _window_matches(letters: Sequence[int], start: int, pairs: Constraints) -> bool:
     for i, j, sign in pairs:
         d = letters[start + i] - letters[start + j]
         if ((d > 0) - (d < 0)) != sign:
@@ -68,14 +70,25 @@ def _window_matches(
     return True
 
 
+#: Distinct patterns whose constraints :func:`count_subword` keeps.
+_PATTERN_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_PATTERN_CACHE_SIZE)
+def _pattern_constraints(tau: Hashable) -> tuple[int, Constraints]:
+    """The length and pair constraints of a pattern, resolved once per
+    distinct pattern (keyed by ``core._param_key``); an invalid pattern
+    raises and is not cached."""
+    word = as_pattern(tau).word
+    return len(word), _pair_constraints(word)
+
+
 def count_subword(pi: PartitionLike, tau: PatternLike) -> int:
     """Number of windows of pi order-isomorphic to the pattern tau."""
     letters = as_ncpartition(pi).letters
-    word = as_pattern(tau).word
-    length = len(word)
+    length, pairs = _pattern_constraints(_param_key(tau))
     if length > len(letters):
         return 0
-    pairs = _pair_constraints(word)
     return sum(
         1
         for start in range(len(letters) - length + 1)

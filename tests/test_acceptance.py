@@ -16,16 +16,14 @@ from ncpart.bijections import (
     map_g,
     map_runrev,
 )
-from ncpart.cli import run_verify_target
-from ncpart.core import NCPartition, iter_nc, parse_sequence
-from ncpart.formulas import (
+from ncpart.cli import (
     TABLE1_PATTERNS,
-    gf_1m,
-    gf_1m2,
-    gf_joint_1a_1b2,
+    run_verify_target,
     table1_mutation_slots,
     verify_table1,
 )
+from ncpart.core import NCPartition, iter_nc, parse_sequence
+from ncpart.formulas import gf_1m, gf_1m2, gf_joint_1a_1b2
 from ncpart.stats import block_count, count_subword
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]

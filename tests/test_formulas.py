@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 
 from ncpart.algebra import MultiPoly, TruncatedSeries
-from ncpart.cli import MAX_ORDER, _totals_instances
+from ncpart.cli import (
+    MAX_ORDER,
+    TABLE1_PATTERNS,
+    _totals_instances,
+    table1_mutation_slots,
+    verify_table1,
+)
 from ncpart.core import (
     RhoTail,
     RunStaircase,
@@ -15,7 +21,6 @@ from ncpart.core import (
 )
 from ncpart.errors import UnsupportedFamily
 from ncpart.formulas import (
-    TABLE1_PATTERNS,
     closed_series,
     gf_1a_rho_1b,
     gf_1m,
@@ -25,9 +30,7 @@ from ncpart.formulas import (
     gf_staircase_joint_rep,
     gf_staircase_tail,
     joint_quadratic,
-    table1_mutation_slots,
     total_occurrences,
-    verify_table1,
 )
 from ncpart.stats import (
     distribution_rows,

@@ -1,8 +1,15 @@
 """The refined recurrence route to the staircase-tail series."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ncpart
+from ncpart import recurrence
 from ncpart.algebra import MultiPoly
+from ncpart.cli import run_verify_target
 from ncpart.core import StaircaseTail, catalan
 from ncpart.errors import IndexOutOfRange
 from ncpart.formulas import gf_staircase_tail
@@ -62,18 +69,50 @@ def test_cell_split_agrees_with_cell():
             assert table.cell_split(n, r, 1) == table.cell(n, r, 1), (n, r)
 
 
-def test_refined_check_passes():
-    table = recurrence_table(2, 2)
-    for n in range(2, 9):
-        report = table.refined_check(n)
-        assert report["status"] == "pass", report
-        assert report["m"] == 2 and report["a"] == 2 and report["n"] == n
+def test_lemma_suite_names_a_wrong_refined_cell(monkeypatch):
+    # A fresh table registry keeps the wrong values out of the shared tables.
+    monkeypatch.setattr(recurrence, "_TABLES", {})
+    right_cell = StaircaseRecurrence.cell
+
+    def wrong_cell(self, n, r, shift=0):
+        value = right_cell(self, n, r, shift)
+        if (self.m, self.a, n, r, shift) == (3, 2, 7, 4, 0):
+            return value + Q
+        return value
+
+    monkeypatch.setattr(StaircaseRecurrence, "cell", wrong_cell)
+    report = run_verify_target("lemma3.1", 10)
+    assert report["status"] == "fail"
+    failed = [c for c in report["cells"] if c["status"] == "fail"]
+    assert failed[0]["params"] == {"m": 3, "a": 2, "check": "refined-cells"}
+    assert failed[0]["n"] == 7
+    assert [e["rep"] for e in failed[0]["actual"]] == [4]
+    assert all((c["params"]["m"], c["params"]["a"]) == (3, 2) for c in failed)
 
 
-def test_refined_check_requires_enough_letters():
-    table = recurrence_table(2, 3)
+def test_refined_cells_require_enough_letters():
     with pytest.raises(IndexOutOfRange):
-        table.refined_check(2)
+        recurrence_table(2, 3).cell(2, 1)
+
+
+def test_closed_forms_and_recurrence_do_not_load_stats():
+    # Load the two modules under a bare package, so the package's own
+    # imports do not hide what they pull in.
+    src = str(Path(ncpart.__file__).parent)
+    code = (
+        "import importlib, sys, types\n"
+        "pkg = types.ModuleType('ncpart')\n"
+        f"pkg.__path__ = [{src!r}]\n"
+        "sys.modules['ncpart'] = pkg\n"
+        "importlib.import_module('ncpart.formulas')\n"
+        "importlib.import_module('ncpart.recurrence')\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('ncpart'))))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "ncpart.formulas" in out and "ncpart.recurrence" in out
+    assert "ncpart.stats" not in out
 
 
 def test_recurrence_table_is_shared():

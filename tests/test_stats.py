@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncpart.algebra import MultiPoly
-from ncpart.core import catalan, enumerate_nc
-from ncpart.errors import EmptyPartition, LimitExceeded
+from ncpart.core import SubwordPattern, catalan, enumerate_nc, parse_sequence
+from ncpart.errors import EmptyPartition, InvalidPattern, LimitExceeded
 from ncpart import stats
 from ncpart.stats import (
     ascent_count,
@@ -53,6 +53,22 @@ def test_count_subword_uses_order_type_with_equalities():
     assert count_subword("12331", "231") == 0  # window 3,3,1 is 221-shaped
     assert count_subword("12341", "231") == 1  # window 3,4,1
     assert count_subword("121", "121") == 1
+
+
+def test_count_subword_pattern_forms_agree_and_errors_repeat():
+    # Each distinct pattern is resolved once, keyed by its normal form:
+    # every spelling of one pattern must give the same count, and a bad
+    # pattern must raise every time rather than be remembered.
+    pi = "1213311"
+    for word in ((1, 2, 1), (1, 1), (2, 1, 1), (1, 2, 2, 1)):
+        text = "".join(map(str, word))
+        forms = (text, ",".join(text), list(word), tuple(word), SubwordPattern(word))
+        counts = {count_subword(pi, form) for form in forms}
+        assert counts == {naive_count(parse_sequence(pi), word)}, word
+    for bad in ("13", [1, 3], (2, 2), "", ()):
+        for _ in range(2):
+            with pytest.raises(InvalidPattern):
+                count_subword(pi, bad)
 
 
 def naive_count(letters, word):
