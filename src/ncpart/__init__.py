@@ -10,8 +10,9 @@ The package has seven layers:
     Canonical sequences, non-crossing partitions, enumeration, subword
     patterns, and pattern-family classification.
 ``stats``
-    Brute-force statistics: occurrence counts and exact distribution
-    tables over all partitions of each size.
+    Statistics: occurrence counts and exact distribution tables over all
+    partitions of each size, from a transfer-matrix engine or, for
+    reference, an exhaustive prefix walk.
 ``formulas``
     Closed-form generating series for every covered pattern family,
     plus total-occurrence counts.

@@ -7,7 +7,8 @@ enum
 dist
     Occurrence-distribution polynomial of one pattern at a single size
     (``--n``) or the whole series up to an order (``--order``), computed
-    by brute force, by closed form, or by the staircase recurrence.
+    by the transfer-matrix engine (the default), by the exhaustive prefix
+    walk (``brute``), by closed form, or by the staircase recurrence.
 series
     Closed-form generating series for a covered pattern family; with
     ``--v`` the staircase series additionally weights each partition by
@@ -15,9 +16,9 @@ series
 total
     Total occurrence count over all partitions of one size.
 verify
-    Cross-check suites: every closed form against brute-force
-    enumeration, equation residuals, recurrence agreement, totals, and
-    bijection statistic exchanges.  Exit status 0 iff every cell passes.
+    Cross-check suites: every closed form against the transfer engine's
+    distribution rows, equation residuals, recurrence agreement, totals,
+    and bijection statistic exchanges.  Exit status 0 iff every cell passes.
 bij
     Apply one of the bijections to a single partition.
 equivclasses
@@ -32,10 +33,11 @@ Output is UTF-8 text or JSON (``--format json``); all output is
 deterministic (canonical term order, lexicographically sorted classes).
 
 Caching: when the environment variable ``NCPART_CACHE`` names a
-directory, brute-force distribution rows are stored there, one file per
+directory, the rows of ``--method brute`` are stored there, one file per
 (pattern, size), addressed by the SHA-256 of the canonical key.  The
 cache is an optimization only — cached and fresh runs print identical
-bytes — and ``--no-cache`` bypasses it entirely.
+bytes — and ``--no-cache`` bypasses it entirely.  The transfer route never
+reads or writes it.
 """
 
 from __future__ import annotations
@@ -223,7 +225,7 @@ def _resolve_pattern(cfg: RunConfig) -> tuple[SubwordPattern, PatternFamily]:
 
 
 def _applicable_methods(family: PatternFamily) -> tuple[str, ...]:
-    methods = ["brute"]
+    methods = ["brute", "transfer"]
     if type(family) in formulas.CLOSED_FORMS:
         methods.append("closed")
     if isinstance(family, StaircaseTail):
@@ -280,17 +282,21 @@ def _row_key(word: tuple[int, ...], n: int) -> dict:
     return {"kind": "dist-row", "pattern": list(word), "n": n}
 
 
-def _brute_rows(cfg: RunConfig, pattern: SubwordPattern, n_max: int) -> list[MultiPoly]:
-    """Brute-force distribution rows 0..n_max, through the cache if enabled."""
-    root = cfg.cache_dir
+def _rows(
+    cfg: RunConfig, pattern: SubwordPattern, method: str, n_max: int
+) -> list[MultiPoly]:
+    """Distribution rows 0..n_max from the engine named by ``method``
+    ("transfer" or "brute").  Only "brute" goes through the cache, if it is
+    enabled; the transfer engine never reads or writes it."""
+    root = cfg.cache_dir if method == "brute" else None
     if root is None:
-        return stats.distribution_rows(n_max, pattern)
+        return stats.distribution_rows(n_max, pattern, engine=method)
     rows: list[MultiPoly | None] = []
     for n in range(n_max + 1):
         value = _cache_get(root, _row_key(pattern.word, n))
         rows.append(MultiPoly.from_json_obj(value) if value is not None else None)
     if any(row is None for row in rows):
-        fresh = stats.distribution_rows(n_max, pattern)
+        fresh = stats.distribution_rows(n_max, pattern, engine=method)
         for n, row in enumerate(rows):
             if row is None:
                 _cache_put(root, _row_key(pattern.word, n), fresh[n].to_json_obj())
@@ -347,8 +353,8 @@ def _distribution_series(
     method: str,
     order: int,
 ) -> TruncatedSeries:
-    if method == "brute":
-        rows = _brute_rows(cfg, pattern, order - 1)
+    if method in ("brute", "transfer"):
+        rows = _rows(cfg, pattern, method, order - 1)
         return TruncatedSeries.from_x_poly(dict(enumerate(rows)), order)
     if method == "closed":
         return formulas.closed_series(family, order)
@@ -358,7 +364,7 @@ def _distribution_series(
 
 def cmd_dist(cfg: RunConfig) -> int:
     pattern, family = _resolve_pattern(cfg)
-    method = cfg.method or "brute"
+    method = cfg.method or "transfer"
     _require_method(family, method)
     n, order = _single_or_series(cfg)
     text = format_sequence(pattern.word)
@@ -424,12 +430,12 @@ def cmd_total(cfg: RunConfig) -> int:
         raise ValueError("total needs --n")
     method = cfg.method or "auto"
     if method == "auto":
-        method = "closed" if "closed" in _applicable_methods(family) else "brute"
+        method = "closed" if "closed" in _applicable_methods(family) else "transfer"
     if method == "closed":
         _require_method(family, "closed")
         total = formulas.total_occurrences(family, cfg.n)
     else:
-        total = _poly_total(_brute_rows(cfg, pattern, cfg.n)[cfg.n])
+        total = _poly_total(_rows(cfg, pattern, method, cfg.n)[cfg.n])
     obj = {
         "pattern": format_sequence(pattern.word),
         "n": cfg.n,
@@ -553,7 +559,7 @@ def _compare(params: dict, expected: Sequence, actual: Sequence) -> list[dict]:
 
 
 # Table 1: each length-3 row's stored quadratic A*F^2 - B*F + C = 0, and the
-# series the row's equation and brute-force coefficients are checked against.
+# series the row's equation and the transfer engine's rows are checked against.
 
 _TABLE1_SERIES: dict[str, Callable[[int], TruncatedSeries]] = {
     "111": lambda order: formulas.gf_1m(3, order),
@@ -615,7 +621,8 @@ def table1_mutation_slots() -> list[MutationSlot]:
 def _groups_table1(order: int, mutation: MutationSlot | None = None) -> list[dict]:
     """Per row: one cell for the residual of its equation at its series, and
     one cell per size n <= min(order - 1, 12) comparing the series with
-    brute force.  ``mutation`` first adds 1 to one stored coefficient."""
+    the distribution rows.  ``mutation`` first adds 1 to one stored
+    coefficient."""
     equations = _table1_equations()
     if mutation is not None:
         pattern, part, x_exp, exps = mutation
@@ -624,9 +631,9 @@ def _groups_table1(order: int, mutation: MutationSlot | None = None) -> list[dic
         terms = equations[pattern][part]
         terms[x_exp] = terms.get(x_exp, MultiPoly.zero()) + MultiPoly({exps: 1})
     n_cap = min(order - 1, 12)
-    brute = stats.batch_distribution_rows(n_cap, TABLE1_PATTERNS)
+    all_rows = stats.batch_distribution_rows(n_cap, TABLE1_PATTERNS)
     cells = []
-    for (pattern, parts), rows in zip(equations.items(), brute):
+    for (pattern, parts), rows in zip(equations.items(), all_rows):
         series = _TABLE1_SERIES[pattern](order)
         eq_a, eq_b, eq_c = (
             TruncatedSeries.from_x_poly(parts[key], order) for key in "ABC"
@@ -784,7 +791,7 @@ def _groups_staircase_joint(order: int) -> list[dict]:
 def _groups_refined(order: int) -> list[dict]:
     """Lemma 3.1: each refined recurrence cell, and the count of partitions
     that cannot hold an occurrence (C_(a-1), with none), against the
-    brute-force rows split by smallest repeated letter."""
+    distribution rows split by smallest repeated letter."""
     n_cap = min(order - 1, 10)
     cells = []
     for m, a in ((2, 2), (3, 2), (2, 3)):
@@ -1028,7 +1035,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--n", type=int)
     p_dist.add_argument("--order", type=int)
     p_dist.add_argument(
-        "--method", choices=("brute", "closed", "recurrence"), default="brute"
+        "--method",
+        choices=("brute", "transfer", "closed", "recurrence"),
+        default="transfer",
     )
 
     p_series = sub.add_parser(
@@ -1038,7 +1047,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_series.add_argument("--order", type=int, required=True)
     p_series.add_argument(
-        "--method", choices=("brute", "closed", "recurrence"), default="closed"
+        "--method",
+        choices=("brute", "transfer", "closed", "recurrence"),
+        default="closed",
     )
     p_series.add_argument(
         "--v",
@@ -1052,7 +1063,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_total.add_argument("--n", type=int, required=True)
     p_total.add_argument(
-        "--method", choices=("auto", "closed", "brute"), default="auto"
+        "--method", choices=("auto", "closed", "brute", "transfer"), default="auto"
     )
 
     p_verify = sub.add_parser(

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Hashable
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterator, Sequence, Union
 
 from .errors import FamilyViolation, InvalidPattern, LimitExceeded
 

@@ -8,9 +8,9 @@ coefficients (rationals may appear only when a rational specialization
 value was supplied by the caller).
 
 This module is one of the package's independent routes to a distribution;
-it never calls the brute-force engine in ``stats``.  The checks of these
-series against brute force, Table 1's equations among them, are the verify
-suites in ``cli``.
+it never calls the distribution engines in ``stats``.  The checks of these
+series against the engines' rows, Table 1's equations among them, are the
+verify suites in ``cli``.
 """
 
 from __future__ import annotations
@@ -462,7 +462,7 @@ def closed_series(family: PatternFamily, order: int) -> TruncatedSeries:
     forms = CLOSED_FORMS.get(type(family))
     if forms is None:
         raise UnsupportedFamily(
-            "no closed form covers this pattern; applicable methods: brute"
+            "no closed form covers this pattern; applicable methods: brute, transfer"
         )
     return forms[0](family, order)
 
@@ -473,8 +473,8 @@ def total_occurrences(family: FamilyLike, n: int) -> int:
 
     Below the formula's threshold the total is 0 (the pattern cannot fit).
     Generic patterns have no closed form: :class:`UnsupportedFamily` is
-    raised; callers may fall back to the q-derivative of the brute-force
-    distribution at q=1.
+    raised; callers may fall back to the q-derivative of the distribution
+    rows at q=1.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -484,6 +484,6 @@ def total_occurrences(family: FamilyLike, n: int) -> int:
     if forms is None:
         raise UnsupportedFamily(
             f"no closed-form total for pattern {family.pattern().text!r}; "
-            "fall back to the q-derivative of the brute-force distribution at q=1"
+            "fall back to the q-derivative of the distribution rows at q=1"
         )
     return forms[1](family, n)

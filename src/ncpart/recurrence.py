@@ -22,8 +22,9 @@ smallest split of the recursion into the sum, ``cell_split`` keeps that
 boundary term explicit — and they must agree term by term.
 
 The recurrence is an independent route to the distribution: this module
-never calls the brute-force engine in ``stats``.  The ``lemma3.1`` verify
-suite in ``cli`` compares every refined cell against brute force.
+never calls the distribution engines in ``stats``.  The ``lemma3.1``
+verify suite in ``cli`` compares every refined cell against the transfer
+engine's rows.
 """
 
 from __future__ import annotations

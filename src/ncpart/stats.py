@@ -1,13 +1,21 @@
 """Statistics of non-crossing partitions: subword-pattern occurrence counts
 and their exact distributions as marker polynomials.
 
-The distribution builders never materialize the partitions.  One depth-first
-walk over the prefix tree carries the nonzero occurrence counts down each
-branch and records them at every node, so a single pass produces the rows
-for every size up to the requested bound — and a joint distribution needs
-exactly one pass, never one per pattern.  Each node looks its trailing
-window up once in a memo of the words it matches, so the cost per node
-does not grow with the number of patterns in a batch.
+The row functions never materialize the partitions, and a single
+pass produces the rows for every size up to the requested bound; a joint
+distribution needs one pass, never one per pattern.  Two engines return
+the same tables:
+
+- ``_transfer`` (``engine="transfer"``, the default) is a transfer matrix.
+  A prefix's state keeps only its open letters, the closed letters still in
+  its trailing window, that window and its smallest repeated letter, so the
+  number of states grows polynomially in the size for a fixed pattern
+  length.  The window is only the longest suffix that could still start an
+  occurrence, which keeps long patterns cheap.
+- ``_walk`` (``engine="brute"``) walks the prefix tree depth-first and
+  records the nonzero counts at every node, at a cost of O(C_n) per size.
+  It is the exhaustive reference the transfer engine is tested against,
+  and ``distribution_rows`` reaches it for the CLI's ``--method brute``.
 """
 
 from __future__ import annotations
@@ -144,6 +152,27 @@ def _check_size(n: int) -> None:
         )
 
 
+def _matcher(words: tuple[Letters, ...]):
+    """The occurrence lookup both engines share: ``match(window)`` returns
+    the index p of every word that a suffix of window standardises to (a
+    word listed twice is hit twice) and stores it in the returned memo,
+    which callers read first."""
+    by_length: dict[int, dict[Letters, list[int]]] = {}
+    for p, word in enumerate(words):
+        by_length.setdefault(len(word), {}).setdefault(word, []).append(p)
+    matches: dict[Letters, tuple[int, ...]] = {}
+
+    def match(window: Letters) -> tuple[int, ...]:
+        found: list[int] = []
+        for length, table in by_length.items():
+            if length <= len(window):
+                found += table.get(_standardise(window[len(window) - length :]), ())
+        matches[window] = hits = tuple(found)
+        return hits
+
+    return matches, match
+
+
 def _walk(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
     """Histogram tables of every size k <= n_max, from one walk.
 
@@ -163,19 +192,7 @@ def _walk(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
     separate = mode == "separate"
     track_rep = mode == "rep"
     longest = max((len(w) for w in words), default=0)
-    by_length: dict[int, dict[Letters, list[int]]] = {}
-    for p, word in enumerate(words):
-        by_length.setdefault(len(word), {}).setdefault(word, []).append(p)
-    matches: dict[Letters, tuple[int, ...]] = {}
-
-    def match(window: Letters) -> tuple[int, ...]:
-        found: list[int] = []
-        for length, table in by_length.items():
-            if length <= len(window):
-                found += table.get(_standardise(window[len(window) - length :]), ())
-        matches[window] = hits = tuple(found)
-        return hits
-
+    matches, match = _matcher(words)
     tables: list = [[{} for _ in words] if separate else {} for _ in range(n_max + 1)]
     nodes = [1] + [0] * n_max
     if track_rep:
@@ -223,16 +240,178 @@ def _walk(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
     return tables
 
 
-# Tables keyed by (mode, words); values are (n_max, tables[k] for k <= n_max).
-_CACHE: dict[tuple[str, tuple[Letters, ...]], tuple[int, list]] = {}
+# A prefix state of the transfer engine: (tokens, window, r).  ``tokens``
+# lists the letters that still matter, in value order: "o" for an open
+# letter, "c" for a closed letter inside the window.  ``window`` holds the
+# token indices of the longest suffix (at most L - 1 letters, L the longest
+# word) that standardises to a proper prefix of a word; earlier letters can
+# take part in no later occurrence.  ``r`` is the token index of the
+# smallest repeated letter (-1 if none).
+State = tuple[str, Letters, int]
 
 
-def _tables(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
-    cached = _CACHE.get((mode, words))
+def _transfer(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
+    """The tables of ``_walk(mode, n_max, words)``, from a transfer matrix.
+
+    Prefixes in the same state have the same futures, so the engine steps
+    every state of one size to the next and carries, per state, how many
+    prefixes reach it with each count.  The next letter is fresh or an open
+    token j; choosing j closes every open letter above it.  A closed letter
+    ranks the same against every later letter, so the occurrence test needs
+    only the token indices of the window, and a closed letter is dropped
+    once it leaves the window.  Every letter below the smallest repeated
+    letter is open (closing one would repeat a smaller letter), so r's
+    letter is r + 1.
+
+    "separate" states carry [prefix count, {p: {c > 0: mult}}], and each
+    count-0 cell is the engine's own prefix total minus the recorded cells.
+    "joint" and "rep" states carry {(c0, c1): mult}; "rep" records r + 1.
+    Both memos (hits per window, successors per state) live in this call.
+    """
+    separate = mode == "separate"
+    track_rep = mode == "rep"
+    matches, match = _matcher(words)
+    # The standardised proper prefixes of the words; ``kept`` tries their
+    # lengths longest first.
+    starts = {_standardise(word[:m]) for word in words for m in range(1, len(word))}
+    lengths = sorted({len(start) for start in starts}, reverse=True)
+    edges: dict[State, list] = {}
+
+    def kept(w: Letters) -> Letters:
+        """The longest suffix of w that standardises to a proper prefix of
+        a word: no letter before it can be part of a later occurrence."""
+        for m in lengths:
+            if m <= len(w) and _standardise(w[len(w) - m :]) in starts:
+                return w[len(w) - m :]
+        return ()
+
+    def successors(state: State) -> list:
+        """(next state, hits) for each letter that may follow the state; in
+        "joint" and "rep" mode the hits are (hits on word 0, on word 1)."""
+        tokens, window, r = state
+        top = len(tokens)
+        out = []
+        for j, t in enumerate(tokens + "o"):  # index top is the fresh letter
+            if t == "c":
+                continue
+            # j is open after the step; every letter above it is closed.
+            stepped = tokens[:j] + "o" + "c" * (top - j - 1)
+            w = window + (j,)
+            hits = matches.get(w)
+            if hits is None:
+                hits = match(w)
+            window2 = kept(w)
+            tokens2 = ""
+            index = []
+            for i, kind in enumerate(stepped):
+                index.append(len(tokens2))
+                if kind == "o" or i in window2:
+                    tokens2 += kind
+            r2 = j if track_rep and j < top and (r < 0 or j < r) else r
+            nxt = (tokens2, tuple(index[i] for i in window2), index[r2] if r2 >= 0 else r2)
+            out.append((nxt, hits if separate else (hits.count(0), hits.count(1))))
+        edges[state] = out
+        return out
+
+    level: dict = {("", (), -1): [1, {}] if separate else {(0, 0): 1}}
+    tables = [_record(level, len(words), mode)]
+    for _ in range(n_max):
+        nxt: dict = {}
+        for state, weight in level.items():
+            out = edges.get(state) or successors(state)
+            if separate:
+                _step_separate(weight, out, nxt)
+            else:
+                _step_joint(weight, out, nxt)
+        level = nxt
+        tables.append(_record(level, len(words), mode))
+    return tables
+
+
+def _step_separate(weight: list, out: list, nxt: dict) -> None:
+    """Add one state's [count, {p: {c > 0: mult}}] to each successor in
+    nxt, one count higher for each word the step hits."""
+    count, counts = weight
+    for state, hits in out:
+        target = nxt.get(state)
+        if target is None:
+            nxt[state] = target = [0, {}]
+        target[0] += count
+        into = target[1]
+        for p, cells in counts.items():
+            if p in hits:
+                continue
+            have = into.get(p)
+            if have is None:
+                into[p] = dict(cells)
+            else:
+                for c, m in cells.items():
+                    have[c] = have.get(c, 0) + m
+        for p in hits:
+            cells = counts.get(p, {})
+            have = into.setdefault(p, {})
+            zero = count - sum(cells.values())
+            if zero:
+                have[1] = have.get(1, 0) + zero
+            for c, m in cells.items():
+                have[c + 1] = have.get(c + 1, 0) + m
+
+
+def _step_joint(weight: dict, out: list, nxt: dict) -> None:
+    """Add one state's {(c0, c1): mult} to each successor in nxt, shifted
+    by the step's hits on the two words."""
+    for state, (d0, d1) in out:
+        target = nxt.get(state)
+        if target is None:
+            nxt[state] = {(c0 + d0, c1 + d1): m for (c0, c1), m in weight.items()}
+            continue
+        for (c0, c1), m in weight.items():
+            key = (c0 + d0, c1 + d1)
+            target[key] = target.get(key, 0) + m
+
+
+def _record(level: dict, n_words: int, mode: str):
+    """One size's table, in ``_walk``'s layout, from the states' weights."""
+    if mode == "separate":
+        table: list[dict[int, int]] = [{} for _ in range(n_words)]
+        total = 0
+        for count, counts in level.values():
+            total += count
+            for p, cells in counts.items():
+                row = table[p]
+                for c, m in cells.items():
+                    row[c] = row.get(c, 0) + m
+        for row in table:
+            row[0] = total - sum(row.values())
+        return table
+    out: dict[tuple[int, int, int], int] = {}
+    for (_, _, r), weight in level.items():
+        v = r + 1 if mode == "rep" else 0
+        for (c0, c1), m in weight.items():
+            out[c0, c1, v] = out.get((c0, c1, v), 0) + m
+    if mode == "joint":  # like _walk's, the count-0 cell is always there
+        out.setdefault((0, 0, 0), 0)
+    return out
+
+
+#: The row engines, by name: the transfer matrix serves every row by
+#: default; "brute" is the exhaustive prefix walk.
+_ENGINES = {"transfer": _transfer, "brute": _walk}
+
+# Tables keyed by (engine, mode, words); values are (n_max, tables[k] for
+# k <= n_max).
+_CACHE: dict[tuple[str, str, tuple[Letters, ...]], tuple[int, list]] = {}
+
+
+def _tables(mode: str, n_max: int, words: tuple[Letters, ...], engine: str) -> list:
+    key = (engine, mode, words)
+    cached = _CACHE.get(key)
     if cached is not None and cached[0] >= n_max:
         return cached[1][: n_max + 1]
-    tables = _walk(mode, n_max, words)
-    _CACHE[mode, words] = (n_max, tables)
+    if engine not in _ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; engines: {', '.join(_ENGINES)}")
+    tables = _ENGINES[engine](mode, n_max, words)
+    _CACHE[key] = (n_max, tables)
     return tables
 
 
@@ -277,18 +456,23 @@ class DistributionTable:
         return len(self.rows) - 1
 
 
-def distribution_rows(n_max: int, tau: PatternLike) -> list[MultiPoly]:
-    """Occurrence distributions (marker q) for every size 0..n_max."""
-    return batch_distribution_rows(n_max, [tau])[0]
+def distribution_rows(
+    n_max: int, tau: PatternLike, *, engine: str = "transfer"
+) -> list[MultiPoly]:
+    """Occurrence distributions (marker q) for every size 0..n_max.
+
+    ``engine`` is "transfer" (the default) or "brute", the exhaustive
+    prefix walk; the joint rows always come from the transfer engine."""
+    return batch_distribution_rows(n_max, [tau], engine=engine)[0]
 
 
 def batch_distribution_rows(
-    n_max: int, taus: Sequence[PatternLike]
+    n_max: int, taus: Sequence[PatternLike], *, engine: str = "transfer"
 ) -> list[list[MultiPoly]]:
-    """Occurrence distributions for many patterns from one shared walk."""
+    """Occurrence distributions for many patterns from one shared pass."""
     _check_size(n_max)
     words = tuple(as_pattern(t).word for t in taus)
-    levels = _tables("separate", n_max, words)
+    levels = _tables("separate", n_max, words, engine)
     return [
         [MultiPoly({(c, 0, 0): m for c, m in level[p].items()}) for level in levels]
         for p in range(len(words))
@@ -301,7 +485,7 @@ def joint_rows(n_max: int, tau1: PatternLike, tau2: PatternLike) -> list[MultiPo
     words = (as_pattern(tau1).word, as_pattern(tau2).word)
     return [
         MultiPoly({(c2, c1, 0): mult for (c1, c2, _), mult in table.items()})
-        for table in _tables("joint", n_max, words)
+        for table in _tables("joint", n_max, words, "transfer")
     ]
 
 
@@ -310,7 +494,7 @@ def rep_joint_rows(n_max: int, tau: PatternLike) -> list[MultiPoly]:
     letter marked by v (exponent 0 when nothing repeats)."""
     _check_size(n_max)
     words = (as_pattern(tau).word,)
-    return [MultiPoly(table) for table in _tables("rep", n_max, words)]
+    return [MultiPoly(table) for table in _tables("rep", n_max, words, "transfer")]
 
 
 def distribution(n: int, tau: PatternLike) -> MultiPoly:

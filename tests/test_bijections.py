@@ -1,7 +1,5 @@
 """Occurrence-exchanging bijections on non-crossing partitions."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -3,13 +3,13 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
 from unittest import mock
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -171,7 +171,7 @@ def test_total_auto_uses_closed_form(capsys):
     }
 
 
-def test_total_auto_falls_back_to_brute(capsys):
+def test_total_auto_falls_back_to_transfer(capsys):
     code, out, _ = run_cli(
         capsys, "total", "--pattern", "212", "--n", "6", "--format", "json"
     )
@@ -179,7 +179,7 @@ def test_total_auto_falls_back_to_brute(capsys):
     assert json.loads(out) == {
         "pattern": "212",
         "n": 6,
-        "method": "brute",
+        "method": "transfer",
         "total": 0,
     }
 
@@ -366,7 +366,8 @@ def test_verify_order_out_of_bounds(capsys):
 
 def test_cache_is_a_pure_optimization(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("NCPART_CACHE", str(tmp_path))
-    args = ["dist", "--pattern", "112", "--order", "7", "--format", "json"]
+    args = ["dist", "--pattern", "112", "--order", "7", "--format", "json",
+            "--method", "brute"]
     _, cold, _ = run_cli(capsys, *args)
     cached_files = list(tmp_path.rglob("*.json"))
     assert cached_files, "expected per-row cache files to be written"
@@ -377,8 +378,49 @@ def test_cache_is_a_pure_optimization(capsys, tmp_path, monkeypatch):
 
 def test_cache_disabled_writes_nothing(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("NCPART_CACHE", str(tmp_path))
-    run_cli(capsys, "dist", "--pattern", "112", "--n", "6", "--no-cache")
+    run_cli(capsys, "dist", "--pattern", "112", "--n", "6", "--method", "brute",
+            "--no-cache")
     assert not list(tmp_path.rglob("*.json"))
+
+
+def test_default_dist_writes_no_cache_file(capsys, tmp_path, monkeypatch):
+    # The disk cache belongs to the exhaustive walk; the transfer engine
+    # neither reads nor writes it.
+    monkeypatch.setenv("NCPART_CACHE", str(tmp_path))
+    code, _, _ = run_cli(capsys, "dist", "--pattern", "112", "--order", "7")
+    assert code == 0
+    code, _, _ = run_cli(capsys, "total", "--pattern", "213", "--n", "7")
+    assert code == 0
+    assert not list(tmp_path.rglob("*"))
+
+
+def test_dist_defaults_to_transfer(capsys):
+    code, out, _ = run_cli(
+        capsys, "dist", "--pattern", "1221", "--n", "6", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["method"] == "transfer"
+
+
+def test_brute_and_transfer_series_agree_on_every_length_4_pattern(capsys):
+    words = [
+        "".join(map(str, w))
+        for w in itertools.product(range(1, 5), repeat=4)
+        if set(w) == set(range(1, max(w) + 1))
+    ]
+    assert len(words) == 75
+    for word in words:
+        series = {}
+        for method in ("brute", "transfer"):
+            code, out, _ = run_cli(
+                capsys, "dist", "--pattern", word, "--order", "10",
+                "--method", method, "--format", "json", "--no-cache",
+            )
+            assert code == 0
+            obj = json.loads(out)
+            assert obj["method"] == method
+            series[method] = obj["series"]
+        assert series["brute"] == series["transfer"], word
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncpart.algebra import MultiPoly, TruncatedSeries
+from ncpart.algebra import MultiPoly
 from ncpart.cli import (
     MAX_ORDER,
     TABLE1_PATTERNS,

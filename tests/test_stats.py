@@ -1,4 +1,5 @@
-"""Brute-force statistics: occurrence counts and distribution tables."""
+"""Statistics: occurrence counts and distribution tables, by the transfer
+engine and by the exhaustive prefix walk."""
 
 from collections import Counter
 
@@ -177,7 +178,7 @@ def test_rep_joint_distribution_markers():
 
 
 # ---------------------------------------------------------------------------
-# The prefix walk against a per-partition oracle
+# The default (transfer) rows against a per-partition oracle
 # ---------------------------------------------------------------------------
 
 
@@ -187,6 +188,11 @@ def _standard(letters):
 
 
 words_1_to_5 = st.lists(st.integers(1, 5), min_size=1, max_size=5).map(_standard)
+# 1-6 words drawn with replacement into batches up to 3 longer: lengths mix
+# (and exceed small n) and words repeat.
+word_batches = st.lists(words_1_to_5, min_size=1, max_size=6).flatmap(
+    lambda ws: st.lists(st.sampled_from(ws), min_size=len(ws), max_size=len(ws) + 3)
+)
 
 
 def oracle_rows(n, exponents):
@@ -210,14 +216,8 @@ def with_rep(tau):
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    st.integers(0, 8),
-    st.lists(words_1_to_5, min_size=1, max_size=6).flatmap(
-        lambda ws: st.lists(st.sampled_from(ws), min_size=len(ws), max_size=len(ws) + 3)
-    ),
-)
+@given(st.integers(0, 8), word_batches)
 def test_batch_rows_match_the_oracle(n, words):
-    # drawing with replacement repeats words; lengths 1-5 exceed small n
     rows = batch_distribution_rows(n, words)
     assert rows == [oracle_rows(n, separate(word)) for word in words]
 
@@ -252,8 +252,69 @@ def test_cached_rows_equal_fresh_rows(n, up, words):
         assert rep_joint_rows(size, first) == oracle_rows(size, with_rep(first))
 
 
+# ---------------------------------------------------------------------------
+# The transfer engine against the exhaustive walk
+# ---------------------------------------------------------------------------
+
+
+def _letters(text):
+    return tuple(int(c) for c in text)
+
+
+# Words up to length 8, so some come close to n and the engine's window
+# (the longest suffix that may still start an occurrence) grows long.
+words_1_to_8 = st.lists(st.integers(1, 5), min_size=1, max_size=8).map(_standard)
+long_batches = st.lists(words_1_to_8, min_size=1, max_size=6).flatmap(
+    lambda ws: st.lists(st.sampled_from(ws), min_size=len(ws), max_size=len(ws) + 3)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10), long_batches)
+def test_transfer_separate_tables_equal_the_walk(n, words):
+    words = tuple(map(_letters, words))
+    assert stats._transfer("separate", n, words) == stats._walk("separate", n, words)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10), words_1_to_8, words_1_to_8, st.booleans())
+def test_transfer_joint_tables_equal_the_walk(n, tau1, tau2, same):
+    words = (_letters(tau1), _letters(tau1 if same else tau2))
+    assert stats._transfer("joint", n, words) == stats._walk("joint", n, words)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10), words_1_to_8)
+def test_transfer_rep_tables_equal_the_walk(n, tau):
+    words = (_letters(tau),)
+    assert stats._transfer("rep", n, words) == stats._walk("rep", n, words)
+
+
+def test_transfer_equals_the_walk_on_long_words_that_occur():
+    # Factors of 122134435665 and 1232145665: each occurs in size-11
+    # partitions, so long windows stay viable for many steps.
+    long8, long10, short = _letters("12213443"), _letters("1232145665"), (1, 2, 1)
+    for mode, words in [
+        ("separate", (long8, long10, short, long8)),
+        ("joint", (long8, long10)),
+        ("rep", (long10,)),
+    ]:
+        assert stats._transfer(mode, 11, words) == stats._walk(mode, 11, words)
+
+
+def test_engines_are_cached_apart():
+    stats._CACHE.clear()
+    transfer = distribution_rows(6, "1213")
+    brute = distribution_rows(6, "1213", engine="brute")
+    assert transfer == brute
+    assert {key[0] for key in stats._CACHE} == {"transfer", "brute"}
+    with pytest.raises(ValueError, match="unknown engine"):
+        distribution_rows(6, "1213", engine="walk")
+
+
 def test_size_limit_is_enforced():
-    with pytest.raises(LimitExceeded):
-        distribution_rows(17, "11")
+    for engine in ("transfer", "brute"):
+        with pytest.raises(LimitExceeded):
+            distribution_rows(17, "11", engine=engine)
     with pytest.raises(ValueError):
         distribution(-1, "11")
