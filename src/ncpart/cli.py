@@ -32,22 +32,17 @@ Pattern syntax: digit string (``1121``) or comma-separated letters
 Output is UTF-8 text or JSON (``--format json``); all output is
 deterministic (canonical term order, lexicographically sorted classes).
 
-Caching: when the environment variable ``NCPART_CACHE`` names a
-directory, the rows of ``--method brute`` are stored there, one file per
-(pattern, size), addressed by the SHA-256 of the canonical key.  The
-cache is an optimization only — cached and fresh runs print identical
-bytes — and ``--no-cache`` bypasses it entirely.  The transfer route never
-reads or writes it.
+Every distribution row is computed in-process by ``stats``, which keeps
+the rows it has built for the rest of the process; no row is stored on
+disk, so ``--method brute`` repeats its exhaustive walk on every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import itertools
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -121,7 +116,6 @@ class RunConfig:
     method: str | None = None
     v_value: Fraction | None = None
     fmt: str = "text"
-    cache_dir: str | None = None
     out: str | None = None
     target: str | None = None
     map_name: str | None = None
@@ -145,8 +139,6 @@ class RunConfig:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    no_cache = getattr(args, "no_cache", False)
-    cache_dir = None if no_cache else os.environ.get("NCPART_CACHE") or None
     v_value = getattr(args, "v", None)
     if v_value is not None:
         try:
@@ -169,7 +161,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         method=getattr(args, "method", None),
         v_value=v_value,
         fmt=getattr(args, "fmt", "text"),
-        cache_dir=cache_dir,
         out=getattr(args, "out", None),
         target=getattr(args, "target", None),
         map_name=getattr(args, "map_name", None),
@@ -224,84 +215,33 @@ def _resolve_pattern(cfg: RunConfig) -> tuple[SubwordPattern, PatternFamily]:
     return fam.pattern(), fam
 
 
-def _applicable_methods(family: PatternFamily) -> tuple[str, ...]:
-    methods = ["brute", "transfer"]
-    if type(family) in formulas.CLOSED_FORMS:
-        methods.append("closed")
-    if isinstance(family, StaircaseTail):
-        methods.append("recurrence")
-    return tuple(methods)
+def _row_series(engine: str, pattern: SubwordPattern, order: int) -> TruncatedSeries:
+    rows = stats.distribution_rows(order - 1, pattern, engine=engine)
+    return TruncatedSeries.from_x_poly(dict(enumerate(rows)), order)
+
+
+#: ``--method`` name -> (applies(family), series(pattern, family, order)).
+_METHODS: dict[str, tuple[Callable[..., bool], Callable[..., TruncatedSeries]]] = {
+    "brute": (lambda f: True, lambda p, f, k: _row_series("brute", p, k)),
+    "transfer": (lambda f: True, lambda p, f, k: _row_series("transfer", p, k)),
+    "closed": (
+        lambda f: type(f) in formulas.CLOSED_FORMS,
+        lambda p, f, k: formulas.closed_series(f, k),
+    ),
+    "recurrence": (
+        lambda f: isinstance(f, StaircaseTail),
+        lambda p, f, k: staircase_series_by_recurrence(f.m, f.a, k),
+    ),
+}
 
 
 def _require_method(family: PatternFamily, method: str) -> None:
-    methods = _applicable_methods(family)
+    methods = [name for name, (applies, _) in _METHODS.items() if applies(family)]
     if method not in methods:
         raise UnsupportedFamily(
             f"method {method!r} does not apply to this pattern; "
             f"applicable methods: {', '.join(methods)}"
         )
-
-
-# ---------------------------------------------------------------------------
-# On-disk cache (optimization only)
-# ---------------------------------------------------------------------------
-
-
-def _cache_path(root: str, key_obj: object) -> str:
-    blob = json.dumps(key_obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    digest = hashlib.sha256(blob).hexdigest()
-    return os.path.join(root, digest[:2], digest + ".json")
-
-
-def _cache_get(root: str | None, key_obj: object) -> object | None:
-    if root is None:
-        return None
-    try:
-        with open(_cache_path(root, key_obj), encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-    return payload.get("value")
-
-
-def _cache_put(root: str | None, key_obj: object, value: object) -> None:
-    if root is None:
-        return
-    path = _cache_path(root, key_obj)
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"key": key_obj, "value": value}, fh, sort_keys=True)
-        os.replace(tmp, path)
-    except OSError:
-        pass
-
-
-def _row_key(word: tuple[int, ...], n: int) -> dict:
-    return {"kind": "dist-row", "pattern": list(word), "n": n}
-
-
-def _rows(
-    cfg: RunConfig, pattern: SubwordPattern, method: str, n_max: int
-) -> list[MultiPoly]:
-    """Distribution rows 0..n_max from the engine named by ``method``
-    ("transfer" or "brute").  Only "brute" goes through the cache, if it is
-    enabled; the transfer engine never reads or writes it."""
-    root = cfg.cache_dir if method == "brute" else None
-    if root is None:
-        return stats.distribution_rows(n_max, pattern, engine=method)
-    rows: list[MultiPoly | None] = []
-    for n in range(n_max + 1):
-        value = _cache_get(root, _row_key(pattern.word, n))
-        rows.append(MultiPoly.from_json_obj(value) if value is not None else None)
-    if any(row is None for row in rows):
-        fresh = stats.distribution_rows(n_max, pattern, engine=method)
-        for n, row in enumerate(rows):
-            if row is None:
-                _cache_put(root, _row_key(pattern.word, n), fresh[n].to_json_obj())
-                rows[n] = fresh[n]
-    return rows  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------
@@ -346,22 +286,6 @@ def _single_or_series(cfg: RunConfig) -> tuple[int | None, int | None]:
     return cfg.n, cfg.order
 
 
-def _distribution_series(
-    cfg: RunConfig,
-    pattern: SubwordPattern,
-    family: PatternFamily,
-    method: str,
-    order: int,
-) -> TruncatedSeries:
-    if method in ("brute", "transfer"):
-        rows = _rows(cfg, pattern, method, order - 1)
-        return TruncatedSeries.from_x_poly(dict(enumerate(rows)), order)
-    if method == "closed":
-        return formulas.closed_series(family, order)
-    assert method == "recurrence"
-    return staircase_series_by_recurrence(family.m, family.a, order)
-
-
 def cmd_dist(cfg: RunConfig) -> int:
     pattern, family = _resolve_pattern(cfg)
     method = cfg.method or "transfer"
@@ -369,7 +293,7 @@ def cmd_dist(cfg: RunConfig) -> int:
     n, order = _single_or_series(cfg)
     text = format_sequence(pattern.word)
     if n is not None:
-        poly = _distribution_series(cfg, pattern, family, method, n + 1).coefficient(n)
+        poly = _METHODS[method][1](pattern, family, n + 1).coefficient(n)
         obj = {
             "pattern": text,
             "n": n,
@@ -378,7 +302,7 @@ def cmd_dist(cfg: RunConfig) -> int:
         }
         _output(cfg, [str(poly)], obj)
     else:
-        series = _distribution_series(cfg, pattern, family, method, order)
+        series = _METHODS[method][1](pattern, family, order)
         obj = {
             "pattern": text,
             "order": order,
@@ -413,7 +337,7 @@ def cmd_series(cfg: RunConfig) -> int:
         _output(cfg, [str(series)], obj)
         return 0
     _require_method(family, method)
-    series = _distribution_series(cfg, pattern, family, method, cfg.order)
+    series = _METHODS[method][1](pattern, family, cfg.order)
     obj = {
         "pattern": text,
         "order": cfg.order,
@@ -430,12 +354,13 @@ def cmd_total(cfg: RunConfig) -> int:
         raise ValueError("total needs --n")
     method = cfg.method or "auto"
     if method == "auto":
-        method = "closed" if "closed" in _applicable_methods(family) else "transfer"
+        method = "closed" if _METHODS["closed"][0](family) else "transfer"
     if method == "closed":
         _require_method(family, "closed")
         total = formulas.total_occurrences(family, cfg.n)
     else:
-        total = _poly_total(_rows(cfg, pattern, method, cfg.n)[cfg.n])
+        rows = stats.distribution_rows(cfg.n, pattern, engine=method)
+        total = _poly_total(rows[cfg.n])
     obj = {
         "pattern": format_sequence(pattern.word),
         "n": cfg.n,
@@ -1007,12 +932,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "json"), default="text", dest="fmt"
     )
-    common.add_argument(
-        "--no-cache",
-        action="store_true",
-        dest="no_cache",
-        help="bypass the NCPART_CACHE directory",
-    )
 
     pattern_flags = argparse.ArgumentParser(add_help=False)
     pattern_flags.add_argument("--pattern", help="pattern word, e.g. 112 or 1,1,2")
@@ -1034,11 +953,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_dist.add_argument("--n", type=int)
     p_dist.add_argument("--order", type=int)
-    p_dist.add_argument(
-        "--method",
-        choices=("brute", "transfer", "closed", "recurrence"),
-        default="transfer",
-    )
+    p_dist.add_argument("--method", choices=tuple(_METHODS), default="transfer")
 
     p_series = sub.add_parser(
         "series",
@@ -1046,11 +961,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="closed-form generating series of a covered family",
     )
     p_series.add_argument("--order", type=int, required=True)
-    p_series.add_argument(
-        "--method",
-        choices=("brute", "transfer", "closed", "recurrence"),
-        default="closed",
-    )
+    p_series.add_argument("--method", choices=tuple(_METHODS), default="closed")
     p_series.add_argument(
         "--v",
         help="weight for the smallest repeated letter (staircase-tail only)",

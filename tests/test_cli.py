@@ -8,8 +8,8 @@ import json
 import os
 import subprocess
 import sys
-from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -360,38 +360,33 @@ def test_verify_order_out_of_bounds(capsys):
 
 
 # ---------------------------------------------------------------------------
-# cache
+# no disk state
 # ---------------------------------------------------------------------------
 
 
-def test_cache_is_a_pure_optimization(capsys, tmp_path, monkeypatch):
+def test_no_route_writes_a_file(capsys, tmp_path, monkeypatch):
+    # NCPART_CACHE once named a row cache; no route reads or writes it now.
     monkeypatch.setenv("NCPART_CACHE", str(tmp_path))
-    args = ["dist", "--pattern", "112", "--order", "7", "--format", "json",
-            "--method", "brute"]
-    _, cold, _ = run_cli(capsys, *args)
-    cached_files = list(tmp_path.rglob("*.json"))
-    assert cached_files, "expected per-row cache files to be written"
-    _, warm, _ = run_cli(capsys, *args)
-    _, bypass, _ = run_cli(capsys, *args, "--no-cache")
-    assert cold == warm == bypass
-
-
-def test_cache_disabled_writes_nothing(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("NCPART_CACHE", str(tmp_path))
-    run_cli(capsys, "dist", "--pattern", "112", "--n", "6", "--method", "brute",
-            "--no-cache")
-    assert not list(tmp_path.rglob("*.json"))
-
-
-def test_default_dist_writes_no_cache_file(capsys, tmp_path, monkeypatch):
-    # The disk cache belongs to the exhaustive walk; the transfer engine
-    # neither reads nor writes it.
-    monkeypatch.setenv("NCPART_CACHE", str(tmp_path))
-    code, _, _ = run_cli(capsys, "dist", "--pattern", "112", "--order", "7")
-    assert code == 0
-    code, _, _ = run_cli(capsys, "total", "--pattern", "213", "--n", "7")
-    assert code == 0
+    for argv in (
+        ("dist", "--pattern", "112", "--order", "7", "--method", "brute"),
+        ("series", "--pattern", "112", "--order", "7", "--method", "brute"),
+        ("total", "--pattern", "112", "--n", "7", "--method", "brute"),
+        ("dist", "--pattern", "112", "--order", "7"),
+        ("total", "--pattern", "213", "--n", "7", "--format", "json"),
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+    assert json.loads(out)["method"] == "transfer"  # total's fallback
     assert not list(tmp_path.rglob("*"))
+
+
+def test_no_cache_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        entry(["dist", "--pattern", "112", "--n", "3", "--no-cache"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-cache" in err
+    assert "Traceback" not in err
 
 
 def test_dist_defaults_to_transfer(capsys):
@@ -414,7 +409,7 @@ def test_brute_and_transfer_series_agree_on_every_length_4_pattern(capsys):
         for method in ("brute", "transfer"):
             code, out, _ = run_cli(
                 capsys, "dist", "--pattern", word, "--order", "10",
-                "--method", method, "--format", "json", "--no-cache",
+                "--method", method, "--format", "json",
             )
             assert code == 0
             obj = json.loads(out)
@@ -525,9 +520,7 @@ def _argv(draw) -> list[str]:
     for flag in draw(st.permutations(sorted(own))):
         forced = (name, flag) == ("verify", "--order")
         if forced or draw(st.integers(0, 9)) < (9 if own[flag] else 5):
-            argv.append(flag)
-            if flag != "--no-cache":
-                argv.append(draw(_value(name, flag)))
+            argv += [flag, draw(_value(name, flag))]
     if draw(st.integers(0, 9)) == 9:
         flag = draw(st.sampled_from(_ALL_FLAGS))
         argv += [flag, draw(_value(name, flag))]
@@ -540,9 +533,7 @@ def _argv(draw) -> list[str]:
 @given(_argv())
 def test_any_argv_exits_0_1_or_2_without_a_traceback(argv):
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(err):
-        os.environ.pop("NCPART_CACHE", None)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = entry(argv)
         except SystemExit as exc:  # argparse: usage errors and --help

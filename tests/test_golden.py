@@ -136,13 +136,11 @@ def test_golden_covers_exactly_the_commands(golden):
 
 @pytest.mark.parametrize("argv", _all_argv(), ids=" ".join)
 def test_transcript_is_byte_identical(argv, golden, monkeypatch):
-    monkeypatch.delenv("NCPART_CACHE", raising=False)
     monkeypatch.setenv("COLUMNS", _COLUMNS)
     assert run(argv) == golden[_key(argv)]
 
 
 if __name__ == "__main__":
-    os.environ.pop("NCPART_CACHE", None)
     os.environ["COLUMNS"] = _COLUMNS
     GOLDEN.parent.mkdir(exist_ok=True)
     records = [run(argv) for argv in _all_argv()]
