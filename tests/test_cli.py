@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncpart import stats
 from ncpart.cli import build_parser, entry
 
 
@@ -378,6 +379,21 @@ def test_no_route_writes_a_file(capsys, tmp_path, monkeypatch):
         assert code == 0, argv
     assert json.loads(out)["method"] == "transfer"  # total's fallback
     assert not list(tmp_path.rglob("*"))
+
+
+def test_cache_is_a_pure_optimization(capsys, monkeypatch):
+    # Repeats within one process are answered by stats._CACHE: a cold row,
+    # a hit and a row cut from a longer cached walk must print the same.
+    monkeypatch.setattr(stats, "_CACHE", {})
+    args = ["dist", "--pattern", "112", "--order", "7", "--format", "json",
+            "--method", "brute"]
+    _, cold, _ = run_cli(capsys, *args)
+    assert list(stats._CACHE) == [("brute", "separate", ((1, 1, 2),))]
+    _, warm, _ = run_cli(capsys, *args)
+    run_cli(capsys, *args[:3], "--order", "9", *args[5:])
+    assert stats._CACHE[("brute", "separate", ((1, 1, 2),))][0] == 8
+    _, cut, _ = run_cli(capsys, *args)
+    assert cold == warm == cut
 
 
 def test_no_cache_flag_is_a_usage_error(capsys):
