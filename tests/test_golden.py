@@ -75,6 +75,7 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("series", "--pattern", "112", "--order", "7", "--v", "2"),
     ("series", "--pattern", "122", "--order", "5", "--v", "1/0"),
     ("series", "--pattern", "11", "--order", "25"),
+    ("series", "--pattern", "122", "--order", "25", "--v", "1/0"),
     ("total", "--pattern", "213", "--n", "7"),
     ("total", "--pattern", "213", "--n", "7", "--method", "closed"),
     ("total", "--pattern", "1233", "--n", "9", "--method", "closed"),
@@ -86,10 +87,13 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("bij", "--map", "equiv", "--pi", "121133", "--tau", "211", "--tau2", "221"),
     ("bij", "--map", "runrev", "--pi", "1121", "--a", "1", "--rho", "1", "--b", "2"),
     ("bij", "--map", "runrev", "--pi", "121"),
+    ("bij", "--map", "f", "--pi", "121", "--tau", "21"),
+    ("bij", "--map", "g", "--pi", "121", "--sigma", "3"),
     ("bij", "--map", "descent-code", "--pi", "1312"),
     ("enum", "--n", "0"),
     ("enum", "--n", "-1"),
     ("equivclasses", "--len", "6", "--n", "2..8"),
+    ("equivclasses", "--len", "3", "--n", "9..2"),
     # verification
     ("verify", "--target", "thm3.3", "--order", "7"),
     ("verify", "--target", "lemma3.1", "--order", "8"),
