@@ -59,6 +59,7 @@ from .core import (
     RunStaircase,
     Sandwich,
     StaircaseTail,
+    NCPartition,
     SubwordPattern,
     as_pattern,
     catalan,
@@ -73,7 +74,6 @@ from .recurrence import recurrence_table, staircase_series_by_recurrence
 from .stats import count_subword
 
 __all__ = [
-    "RunConfig",
     "TABLE1_PATTERNS",
     "build_parser",
     "entry",
@@ -96,81 +96,30 @@ _FAMILIES: dict[str, type] = {
 }
 
 # ---------------------------------------------------------------------------
-# Run configuration
+# Checked arguments
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class RunConfig:
-    """One parsed invocation: subcommand plus every relevant option."""
-
-    subcommand: str
-    pattern: str | None = None
-    family: str | None = None
-    a: int | None = None
-    b: int | None = None
-    m: int | None = None
-    rho: str | None = None
-    n: int | None = None
-    order: int | None = None
-    method: str | None = None
-    v_value: Fraction | None = None
-    fmt: str = "text"
-    out: str | None = None
-    target: str | None = None
-    map_name: str | None = None
-    pi: str | None = None
-    tau: str | None = None
-    tau2: str | None = None
-    sigma: str | None = None
-    length: int | None = None
-    n_range: tuple[int, int] | None = None
-
-    def __post_init__(self) -> None:
-        if self.order is not None and not 1 <= self.order <= MAX_ORDER:
-            raise ValueError(f"order must be between 1 and {MAX_ORDER}")
-        if self.n is not None:
-            if self.n < 0:
-                raise ValueError("n must be >= 0")
-            if self.n > DEFAULT_ENUM_LIMIT:
-                raise LimitExceeded(
-                    f"n = {self.n} exceeds the size limit {DEFAULT_ENUM_LIMIT}"
-                )
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    v_value = getattr(args, "v", None)
-    if v_value is not None:
+def _checked(args: argparse.Namespace) -> argparse.Namespace:
+    """Parse ``--v`` and the ``equivclasses`` size range in place, then
+    check the bounds argparse cannot: the order, then the size."""
+    if getattr(args, "v", None) is not None:
         try:
-            v_value = Fraction(v_value)
+            args.v = Fraction(args.v)
         except ZeroDivisionError:
-            raise ValueError(f"--v {v_value} has a zero denominator") from None
-    n_range = getattr(args, "n_range", None)
-    if n_range is not None:
-        n_range = _parse_range(n_range)
-    return RunConfig(
-        subcommand=args.subcommand,
-        pattern=getattr(args, "pattern", None),
-        family=getattr(args, "family", None),
-        a=getattr(args, "a", None),
-        b=getattr(args, "b", None),
-        m=getattr(args, "m", None),
-        rho=getattr(args, "rho", None),
-        n=getattr(args, "n", None),
-        order=getattr(args, "order", None),
-        method=getattr(args, "method", None),
-        v_value=v_value,
-        fmt=getattr(args, "fmt", "text"),
-        out=getattr(args, "out", None),
-        target=getattr(args, "target", None),
-        map_name=getattr(args, "map_name", None),
-        pi=getattr(args, "pi", None),
-        tau=getattr(args, "tau", None),
-        tau2=getattr(args, "tau2", None),
-        sigma=getattr(args, "sigma", None),
-        length=getattr(args, "length", None),
-        n_range=n_range,
-    )
+            raise ValueError(f"--v {args.v} has a zero denominator") from None
+    if getattr(args, "n_range", None) is not None:
+        args.n_range = _parse_range(args.n_range)
+    order = getattr(args, "order", None)
+    if order is not None and not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be between 1 and {MAX_ORDER}")
+    n = getattr(args, "n", None)
+    if n is not None:
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        if n > DEFAULT_ENUM_LIMIT:
+            raise LimitExceeded(f"n = {n} exceeds the size limit {DEFAULT_ENUM_LIMIT}")
+    return args
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -190,28 +139,28 @@ def _parse_range(text: str) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _build_family(cfg: RunConfig) -> PatternFamily:
-    cls = _FAMILIES[cfg.family]
+def _build_family(args: argparse.Namespace) -> PatternFamily:
+    cls = _FAMILIES[args.family]
     required = [field.name for field in dataclasses.fields(cls)]
-    missing = [flag for flag in required if getattr(cfg, flag) is None]
+    missing = [flag for flag in required if getattr(args, flag) is None]
     if missing:
         flags = ", ".join(f"--{f}" for f in missing)
-        raise ValueError(f"family {cfg.family!r} needs {flags}")
-    values = {flag: getattr(cfg, flag) for flag in required}
+        raise ValueError(f"family {args.family!r} needs {flags}")
+    values = {flag: getattr(args, flag) for flag in required}
     if "rho" in values:
         values["rho"] = parse_sequence(values["rho"])
     return cls(**values)
 
 
-def _resolve_pattern(cfg: RunConfig) -> tuple[SubwordPattern, PatternFamily]:
-    if cfg.pattern is not None and cfg.family is not None:
+def _resolve_pattern(args: argparse.Namespace) -> tuple[SubwordPattern, PatternFamily]:
+    if args.pattern is not None and args.family is not None:
         raise ValueError("give either --pattern or --family, not both")
-    if cfg.pattern is not None:
-        pat = as_pattern(cfg.pattern)
+    if args.pattern is not None:
+        pat = as_pattern(args.pattern)
         return pat, classify_pattern(pat)
-    if cfg.family is None:
+    if args.family is None:
         raise ValueError("a pattern is required: --pattern WORD or --family NAME")
-    fam = _build_family(cfg)
+    fam = _build_family(args)
     return fam.pattern(), fam
 
 
@@ -249,8 +198,8 @@ def _require_method(family: PatternFamily, method: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _output(cfg: RunConfig, lines: Sequence[str], obj: object) -> None:
-    if cfg.fmt == "json":
+def _output(args: argparse.Namespace, lines: Sequence[str], obj: object) -> None:
+    if args.fmt == "json":
         print(json.dumps(obj, indent=2))
     else:
         for line in lines:
@@ -271,134 +220,99 @@ def _poly_total(poly: MultiPoly) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_enum(cfg: RunConfig) -> int:
-    if cfg.n is None:
-        raise ValueError("enum needs --n")
-    parts = [format_sequence(pi.letters) for pi in enumerate_nc(cfg.n)]
-    obj = {"n": cfg.n, "count": len(parts), "partitions": parts}
-    _output(cfg, parts, obj)
+def cmd_enum(args: argparse.Namespace) -> int:
+    parts = [format_sequence(pi.letters) for pi in enumerate_nc(args.n)]
+    obj = {"n": args.n, "count": len(parts), "partitions": parts}
+    _output(args, parts, obj)
     return 0
 
 
-def _single_or_series(cfg: RunConfig) -> tuple[int | None, int | None]:
-    if (cfg.n is None) == (cfg.order is None):
+def cmd_dist(args: argparse.Namespace) -> int:
+    pattern, family = _resolve_pattern(args)
+    _require_method(family, args.method)
+    if (args.n is None) == (args.order is None):
         raise ValueError("give exactly one of --n and --order")
-    return cfg.n, cfg.order
-
-
-def cmd_dist(cfg: RunConfig) -> int:
-    pattern, family = _resolve_pattern(cfg)
-    method = cfg.method or "transfer"
-    _require_method(family, method)
-    n, order = _single_or_series(cfg)
-    text = format_sequence(pattern.word)
-    if n is not None:
-        poly = _METHODS[method][1](pattern, family, n + 1).coefficient(n)
-        obj = {
-            "pattern": text,
-            "n": n,
-            "method": method,
-            "distribution": poly.to_json_obj(),
-        }
-        _output(cfg, [str(poly)], obj)
+    build = _METHODS[args.method][1]
+    if args.n is not None:
+        size, key = {"n": args.n}, "distribution"
+        value = build(pattern, family, args.n + 1).coefficient(args.n)
     else:
-        series = _METHODS[method][1](pattern, family, order)
-        obj = {
-            "pattern": text,
-            "order": order,
-            "method": method,
-            "series": series.to_json_obj(),
-        }
-        _output(cfg, [str(series)], obj)
+        size, key = {"order": args.order}, "series"
+        value = build(pattern, family, args.order)
+    obj = {
+        "pattern": format_sequence(pattern.word),
+        **size,
+        "method": args.method,
+        key: value.to_json_obj(),
+    }
+    _output(args, [str(value)], obj)
     return 0
 
 
-def cmd_series(cfg: RunConfig) -> int:
-    pattern, family = _resolve_pattern(cfg)
-    if cfg.order is None:
-        raise ValueError("series needs --order")
-    method = cfg.method or "closed"
-    text = format_sequence(pattern.word)
-    if cfg.v_value is not None:
-        if method != "closed" or not isinstance(family, StaircaseTail):
-            raise ValueError(
-                "--v applies only to the closed staircase-tail series"
-            )
+def cmd_series(args: argparse.Namespace) -> int:
+    pattern, family = _resolve_pattern(args)
+    v_value: dict[str, str] = {}
+    if args.v is None:
+        _require_method(family, args.method)
+        series = _METHODS[args.method][1](pattern, family, args.order)
+    elif args.method == "closed" and isinstance(family, StaircaseTail):
         series = formulas.gf_staircase_joint_rep(
-            family.m, family.a, cfg.order, v_value=cfg.v_value
+            family.m, family.a, args.order, v_value=args.v
         )
-        obj = {
-            "pattern": text,
-            "order": cfg.order,
-            "method": method,
-            "v_value": str(cfg.v_value),
-            "series": series.to_json_obj(),
-        }
-        _output(cfg, [str(series)], obj)
-        return 0
-    _require_method(family, method)
-    series = _METHODS[method][1](pattern, family, cfg.order)
+        v_value = {"v_value": str(args.v)}
+    else:
+        raise ValueError("--v applies only to the closed staircase-tail series")
     obj = {
-        "pattern": text,
-        "order": cfg.order,
-        "method": method,
+        "pattern": format_sequence(pattern.word),
+        "order": args.order,
+        "method": args.method,
+        **v_value,
         "series": series.to_json_obj(),
     }
-    _output(cfg, [str(series)], obj)
+    _output(args, [str(series)], obj)
     return 0
 
 
-def cmd_total(cfg: RunConfig) -> int:
-    pattern, family = _resolve_pattern(cfg)
-    if cfg.n is None:
-        raise ValueError("total needs --n")
-    method = cfg.method or "auto"
+def cmd_total(args: argparse.Namespace) -> int:
+    pattern, family = _resolve_pattern(args)
+    method = args.method
     if method == "auto":
         method = "closed" if _METHODS["closed"][0](family) else "transfer"
     if method == "closed":
         _require_method(family, "closed")
-        total = formulas.total_occurrences(family, cfg.n)
+        total = formulas.total_occurrences(family, args.n)
     else:
-        rows = stats.distribution_rows(cfg.n, pattern, engine=method)
-        total = _poly_total(rows[cfg.n])
+        rows = stats.distribution_rows(args.n, pattern, engine=method)
+        total = _poly_total(rows[args.n])
     obj = {
         "pattern": format_sequence(pattern.word),
-        "n": cfg.n,
+        "n": args.n,
         "method": method,
         "total": total,
     }
-    _output(cfg, [str(total)], obj)
+    _output(args, [str(total)], obj)
     return 0
 
 
-def cmd_bij(cfg: RunConfig) -> int:
-    if cfg.pi is None:
-        raise ValueError("bij needs --pi")
-    name = cfg.map_name
-    params: dict[str, object] = {}
-    if name in ("f", "equiv"):
-        if cfg.tau is None or cfg.tau2 is None:
-            raise ValueError(f"map {name!r} needs --tau and --tau2")
-        apply = map_f if name == "f" else map_equiv
-        result = apply(cfg.pi, cfg.tau, cfg.tau2)
-        params = {"tau": cfg.tau, "tau2": cfg.tau2}
-    elif name == "g":
-        if cfg.sigma is None or cfg.b is None:
-            raise ValueError("map 'g' needs --sigma and --b")
-        result = map_g(cfg.pi, cfg.sigma, cfg.b)
-        params = {"sigma": cfg.sigma, "b": cfg.b}
-    elif name == "runrev":
-        if cfg.a is None or cfg.rho is None or cfg.b is None:
-            raise ValueError("map 'runrev' needs --a, --rho and --b")
-        result = map_runrev(cfg.pi, cfg.a, cfg.rho, cfg.b)
-        params = {"a": cfg.a, "rho": cfg.rho, "b": cfg.b}
-    elif name == "descent-code":
-        result = map_descent_code(cfg.pi)
-    else:
-        raise ValueError(f"unknown map {name!r}")
-    text = format_sequence(result.letters)
-    obj = {"map": name, "pi": cfg.pi, **params, "result": text}
-    _output(cfg, [text], obj)
+#: ``--map`` name -> (map, the flags it takes after ``--pi``, in order).
+_MAPS: dict[str, tuple[Callable[..., NCPartition], tuple[str, ...]]] = {
+    "f": (map_f, ("tau", "tau2")),
+    "g": (map_g, ("sigma", "b")),
+    "equiv": (map_equiv, ("tau", "tau2")),
+    "runrev": (map_runrev, ("a", "rho", "b")),
+    "descent-code": (map_descent_code, ()),
+}
+
+
+def cmd_bij(args: argparse.Namespace) -> int:
+    apply, flags = _MAPS[args.map_name]
+    params = {flag: getattr(args, flag) for flag in flags}
+    if None in params.values():
+        *init, last = (f"--{flag}" for flag in flags)
+        raise ValueError(f"map {args.map_name!r} needs {', '.join(init)} and {last}")
+    text = format_sequence(apply(args.pi, *params.values()).letters)
+    obj = {"map": args.map_name, "pi": args.pi, **params, "result": text}
+    _output(args, [text], obj)
     return 0
 
 
@@ -414,15 +328,11 @@ def _all_patterns(length: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def cmd_equivclasses(cfg: RunConfig) -> int:
-    if cfg.length is None or cfg.n_range is None:
-        raise ValueError("equivclasses needs --len and --n")
-    lo, hi = cfg.n_range
-    if not 1 <= cfg.length <= 5:
+def cmd_equivclasses(args: argparse.Namespace) -> int:
+    lo, hi = args.n_range
+    if not 1 <= args.length <= 5:
         raise ValueError("pattern length must be between 1 and 5")
-    if hi > 10:
-        raise LimitExceeded("equivalence classes are limited to sizes <= 10")
-    words = _all_patterns(cfg.length)
+    words = _all_patterns(args.length)
     rows = stats.batch_distribution_rows(hi, words)
     groups: dict[tuple, list[str]] = {}
     for word, word_rows in zip(words, rows):
@@ -430,12 +340,12 @@ def cmd_equivclasses(cfg: RunConfig) -> int:
         groups.setdefault(key, []).append(format_sequence(word))
     classes = sorted(sorted(members) for members in groups.values())
     obj = {
-        "length": cfg.length,
+        "length": args.length,
         "n_min": lo,
         "n_max": hi,
         "classes": classes,
     }
-    _output(cfg, [" ".join(cls) for cls in classes], obj)
+    _output(args, [" ".join(cls) for cls in classes], obj)
     return 0
 
 
@@ -545,9 +455,8 @@ def table1_mutation_slots() -> list[MutationSlot]:
 
 def _groups_table1(order: int, mutation: MutationSlot | None = None) -> list[dict]:
     """Per row: one cell for the residual of its equation at its series, and
-    one cell per size n <= min(order - 1, 12) comparing the series with
-    the distribution rows.  ``mutation`` first adds 1 to one stored
-    coefficient."""
+    one cell per size n < order comparing the series with the distribution
+    rows.  ``mutation`` first adds 1 to one stored coefficient."""
     equations = _table1_equations()
     if mutation is not None:
         pattern, part, x_exp, exps = mutation
@@ -555,8 +464,7 @@ def _groups_table1(order: int, mutation: MutationSlot | None = None) -> list[dic
             raise ValueError(f"mutation targets unknown row {pattern!r}")
         terms = equations[pattern][part]
         terms[x_exp] = terms.get(x_exp, MultiPoly.zero()) + MultiPoly({exps: 1})
-    n_cap = min(order - 1, 12)
-    all_rows = stats.batch_distribution_rows(n_cap, TABLE1_PATTERNS)
+    all_rows = stats.batch_distribution_rows(order - 1, TABLE1_PATTERNS)
     cells = []
     for (pattern, parts), rows in zip(equations.items(), all_rows):
         series = _TABLE1_SERIES[pattern](order)
@@ -570,9 +478,7 @@ def _groups_table1(order: int, mutation: MutationSlot | None = None) -> list[dic
             )
         )
         cells += _compare(
-            {"pattern": pattern, "check": "coefficient"},
-            rows,
-            series.coeffs[: n_cap + 1],
+            {"pattern": pattern, "check": "coefficient"}, rows, series.coeffs
         )
     return cells
 
@@ -581,7 +487,6 @@ _Q_MONO = MultiPoly({(1, 0, 0): Fraction(1)})
 
 
 def _groups_joint(order: int) -> list[dict]:
-    n_cap = min(order - 1, 10)
     cells = []
     for a, b in ((1, 1), (2, 1), (2, 2), (3, 2), (2, 3)):
         series = formulas.gf_joint_1a_1b2(a, b, order)
@@ -592,9 +497,9 @@ def _groups_joint(order: int) -> list[dict]:
                 eq_a * series * series - eq_b * series + eq_c,
             )
         )
-        rows = stats.joint_rows(n_cap, (1,) * a, (1,) * b + (2,))
+        rows = stats.joint_rows(order - 1, (1,) * a, (1,) * b + (2,))
         cells += _compare(
-            {"a": a, "b": b, "check": "coefficient"}, rows, series.coeffs[: n_cap + 1]
+            {"a": a, "b": b, "check": "coefficient"}, rows, series.coeffs
         )
     for m in (1, 2, 3, 4):
         run_side = formulas.gf_joint_1a_1b2(m, 1, order).substitute(
@@ -618,16 +523,15 @@ def _groups_joint(order: int) -> list[dict]:
 
 def _groups_rho_tail(order: int) -> list[dict]:
     cases = (("1", 2), ("11", 1), ("12", 1), ("1", 3), ("12", 2))
-    n_cap = min(order - 1, 12)
     cells = []
     for rho, b in cases:
         pattern = RhoTail(parse_sequence(rho), b).pattern()
         series = formulas.gf_rho_1b(rho, b, order)
-        rows = stats.distribution_rows(n_cap, pattern)
+        rows = stats.distribution_rows(order - 1, pattern)
         cells += _compare(
             {"pattern": format_sequence(pattern.word), "check": "coefficient"},
             rows,
-            series.coeffs[: n_cap + 1],
+            series.coeffs,
         )
     by_len: dict[int, list[tuple[str, int]]] = {}
     for rho, b in cases:
@@ -649,16 +553,13 @@ def _groups_rho_tail(order: int) -> list[dict]:
 
 
 def _groups_sandwich(order: int) -> list[dict]:
-    n_cap = min(order - 1, 12)
     cells = []
     for tau in ("121", "1121", "1211", "1221", "1231"):
         fam = classify_pattern(tau)
         assert isinstance(fam, Sandwich)
         series = formulas.gf_1a_rho_1b(fam.a, fam.rho, fam.b, order)
-        rows = stats.distribution_rows(n_cap, tau)
-        cells += _compare(
-            {"pattern": tau, "check": "coefficient"}, rows, series.coeffs[: n_cap + 1]
-        )
+        rows = stats.distribution_rows(order - 1, tau)
+        cells += _compare({"pattern": tau, "check": "coefficient"}, rows, series.coeffs)
     for a, rho, b in ((2, "1", 1), (3, "1", 1), (2, "11", 1), (2, "12", 1)):
         cells.append(
             _zero_cell(
@@ -671,21 +572,14 @@ def _groups_sandwich(order: int) -> list[dict]:
 
 
 def _groups_staircase(order: int) -> list[dict]:
-    n_cap = min(order - 1, 12)
     cells = []
     for m, a in ((2, 2), (3, 2), (2, 3), (3, 3)):
         closed = formulas.gf_staircase_tail(m, a, order)
-        by_recurrence = staircase_series_by_recurrence(m, a, order)
-        rows = stats.distribution_rows(n_cap, StaircaseTail(m, a).pattern())
+        recurred = staircase_series_by_recurrence(m, a, order)
+        rows = stats.distribution_rows(order - 1, StaircaseTail(m, a).pattern())
         per_n = zip(
-            _compare(
-                {"m": m, "a": a, "check": "closed"}, rows, closed.coeffs[: n_cap + 1]
-            ),
-            _compare(
-                {"m": m, "a": a, "check": "recurrence"},
-                rows,
-                by_recurrence.coeffs[: n_cap + 1],
-            ),
+            _compare({"m": m, "a": a, "check": "closed"}, rows, closed.coeffs),
+            _compare({"m": m, "a": a, "check": "recurrence"}, rows, recurred.coeffs),
         )
         cells += [cell for pair in per_n for cell in pair]
     return cells
@@ -693,15 +587,14 @@ def _groups_staircase(order: int) -> list[dict]:
 
 def _groups_staircase_joint(order: int) -> list[dict]:
     m, a = 2, 2
-    n_cap = min(order - 1, 9)
     cells = []
     for v in map(Fraction, (0, 2, 3, 1)):
         series = formulas.gf_staircase_joint_rep(m, a, order, v_value=v)
-        rows = stats.rep_joint_rows(n_cap, StaircaseTail(m, a).pattern())
+        rows = stats.rep_joint_rows(order - 1, StaircaseTail(m, a).pattern())
         cells += _compare(
             {"m": m, "a": a, "v": str(v), "check": "coefficient"},
             [row.substitute(v=v) for row in rows],
-            series.coeffs[: n_cap + 1],
+            series.coeffs,
         )
     cells.append(
         _zero_cell(
@@ -717,12 +610,11 @@ def _groups_refined(order: int) -> list[dict]:
     """Lemma 3.1: each refined recurrence cell, and the count of partitions
     that cannot hold an occurrence (C_(a-1), with none), against the
     distribution rows split by smallest repeated letter."""
-    n_cap = min(order - 1, 10)
     cells = []
     for m, a in ((2, 2), (3, 2), (2, 3)):
         table = recurrence_table(m, a)
-        rows = stats.rep_joint_rows(n_cap, StaircaseTail(m, a).pattern())
-        for n in range(a, n_cap + 1):
+        rows = stats.rep_joint_rows(order - 1, StaircaseTail(m, a).pattern())
+        for n in range(a, order):
             top = n - a + 1
             by_rep: dict[int, MultiPoly] = {}
             for (eq, ep, ev), coeff in rows[n].items():
@@ -785,28 +677,26 @@ def _totals_instances() -> list[PatternFamily]:
 
 
 def _groups_totals(order: int) -> list[dict]:
-    n_cap = min(order - 1, 12)
     instances = _totals_instances()
     patterns = [fam.pattern() for fam in instances]
-    rows_all = stats.batch_distribution_rows(n_cap, patterns)
+    rows_all = stats.batch_distribution_rows(order - 1, patterns)
     cells = []
     for fam, pattern, rows in zip(instances, patterns, rows_all):
         cells += _compare(
             {"pattern": format_sequence(pattern.word), "check": "total"},
-            [formulas.total_occurrences(fam, n) for n in range(n_cap + 1)],
+            [formulas.total_occurrences(fam, n) for n in range(order)],
             [_poly_total(row) for row in rows],
         )
     return cells
 
 
 def _groups_equidistribution(order: int) -> list[dict]:
-    n_cap = min(order - 1, 12)
-    exchange_cap = min(n_cap, 8)
+    exchange_cap = min(order - 1, 8)
     cells = []
     for a, m in ((2, 2), (2, 3), (3, 2)):
         first = RunStaircase(a, m).pattern()
         second = StaircaseTail(m, a).pattern()
-        rows = stats.batch_distribution_rows(n_cap, [first, second])
+        rows = stats.batch_distribution_rows(order - 1, [first, second])
         cells += _compare({"a": a, "m": m, "check": "equidistribution"}, *rows)
         mismatches = 0
         for n in range(1, exchange_cap + 1):
@@ -881,24 +771,22 @@ def _verify_text(report: dict) -> list[str]:
     return lines
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    target = cfg.target
-    if target is None:
-        raise ValueError("verify needs --target")
-    if cfg.out:
+def cmd_verify(args: argparse.Namespace) -> int:
+    target = args.target
+    if args.out:
         # fail before the suite runs, not after
         try:
-            with open(cfg.out, "a", encoding="utf-8"):
+            with open(args.out, "a", encoding="utf-8"):
                 pass
         except OSError as exc:
-            raise ValueError(f"cannot write --out {cfg.out}: {exc.strerror}") from None
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
     targets = list(_VERIFY) if target == "all" else [target]
-    reports = [run_verify_target(t, cfg.order or _VERIFY[t][1]) for t in targets]
+    reports = [run_verify_target(t, args.order or _VERIFY[t][1]) for t in targets]
     status = "pass" if all(r["status"] == "pass" for r in reports) else "fail"
     if target == "all":
         report = {
             "target": "all",
-            "order": cfg.order,
+            "order": args.order,
             "status": status,
             "reports": reports,
         }
@@ -906,10 +794,10 @@ def cmd_verify(cfg: RunConfig) -> int:
         report = reports[0]
     lines = [line for r in reports for line in _verify_text(r)]
     lines.append(f"verification {'passed' if status == 'pass' else 'failed'}")
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
-    _output(cfg, lines, report)
+    _output(args, lines, report)
     return 0 if status == "pass" else 1
 
 
@@ -991,7 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bij.add_argument(
         "--map",
-        choices=("f", "g", "equiv", "runrev", "descent-code"),
+        choices=tuple(_MAPS),
         required=True,
         dest="map_name",
     )
@@ -1016,7 +904,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS: dict[str, Callable[[RunConfig], int]] = {
+_HANDLERS: dict[str, Callable[[argparse.Namespace], int]] = {
     "enum": cmd_enum,
     "dist": cmd_dist,
     "series": cmd_series,
@@ -1028,11 +916,9 @@ _HANDLERS: dict[str, Callable[[RunConfig], int]] = {
 
 
 def entry(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _HANDLERS[cfg.subcommand](cfg)
+        return _HANDLERS[args.subcommand](_checked(args))
     except (NcpartError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Hashable
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .algebra import MultiPoly
@@ -44,7 +43,6 @@ __all__ = [
     "block_count",
     "ascent_count",
     "descent_count",
-    "DistributionTable",
     "distribution",
     "joint_distribution",
     "rep_joint_distribution",
@@ -420,40 +418,21 @@ def _tables(mode: str, n_max: int, words: tuple[Letters, ...], engine: str) -> l
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DistributionTable:
-    """Exact distribution rows for one or two statistics.
-
-    ``rows[n]`` is the generating polynomial over all size-n non-crossing
-    partitions, with each statistic recorded in its marker.  Construction
-    re-checks the two structural invariants: every coefficient is a
-    nonnegative integer, and setting every marker to 1 gives the Catalan
-    number.
-    """
-
-    patterns: tuple[SubwordPattern, ...]
-    markers: tuple[str, ...]
-    rows: tuple[MultiPoly, ...]
-
-    def __post_init__(self) -> None:
-        ones = {name: 1 for name in ("q", "p", "v")}
-        for n, row in enumerate(self.rows):
-            if not (row.has_integer_coeffs() and row.has_nonnegative_coeffs()):
-                raise AssertionError(
-                    f"distribution row {n} has a bad coefficient: {row}"
-                )
-            total = row.substitute(**ones).as_constant()
-            if total != catalan(n):
-                raise AssertionError(
-                    f"distribution row {n} sums to {total}, expected {catalan(n)}"
-                )
-
-    def row(self, n: int) -> MultiPoly:
-        return self.rows[n]
-
-    @property
-    def n_max(self) -> int:
-        return len(self.rows) - 1
+def _checked_last_row(rows: Sequence[MultiPoly]) -> MultiPoly:
+    """The last of ``rows`` (``rows[n]`` is over all size-n non-crossing
+    partitions), after re-checking the two structural invariants of every
+    row: every coefficient is a nonnegative integer, and setting every
+    marker to 1 gives the Catalan number."""
+    ones = {name: 1 for name in ("q", "p", "v")}
+    for n, row in enumerate(rows):
+        if not (row.has_integer_coeffs() and row.has_nonnegative_coeffs()):
+            raise AssertionError(f"distribution row {n} has a bad coefficient: {row}")
+        total = row.substitute(**ones).as_constant()
+        if total != catalan(n):
+            raise AssertionError(
+                f"distribution row {n} sums to {total}, expected {catalan(n)}"
+            )
+    return rows[-1]
 
 
 def distribution_rows(
@@ -500,33 +479,17 @@ def rep_joint_rows(n_max: int, tau: PatternLike) -> list[MultiPoly]:
 def distribution(n: int, tau: PatternLike) -> MultiPoly:
     """The polynomial sum of q^(occurrences of tau) over all size-n
     non-crossing partitions."""
-    pattern = as_pattern(tau)
-    rows = distribution_rows(n, pattern)
-    table = DistributionTable(
-        patterns=(pattern,), markers=("q",), rows=tuple(rows)
-    )
-    return table.row(n)
+    return _checked_last_row(distribution_rows(n, tau))
 
 
 def joint_distribution(n: int, tau1: PatternLike, tau2: PatternLike) -> MultiPoly:
     """The polynomial sum of p^(occurrences of tau1) q^(occurrences of tau2)
     over all size-n non-crossing partitions, from a single pass."""
-    p1 = as_pattern(tau1)
-    p2 = as_pattern(tau2)
-    rows = joint_rows(n, p1, p2)
-    table = DistributionTable(
-        patterns=(p1, p2), markers=("p", "q"), rows=tuple(rows)
-    )
-    return table.row(n)
+    return _checked_last_row(joint_rows(n, tau1, tau2))
 
 
 def rep_joint_distribution(n: int, tau: PatternLike) -> MultiPoly:
     """The polynomial sum of q^(occurrences) v^(smallest repeated letter)
     over all size-n non-crossing partitions (v-exponent 0 when no letter
     repeats), from a single pass."""
-    pattern = as_pattern(tau)
-    rows = rep_joint_rows(n, pattern)
-    table = DistributionTable(
-        patterns=(pattern,), markers=("q", "v"), rows=tuple(rows)
-    )
-    return table.row(n)
+    return _checked_last_row(rep_joint_rows(n, tau))

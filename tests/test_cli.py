@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncpart import stats
-from ncpart.cli import build_parser, entry
+from ncpart.cli import build_parser, entry, run_verify_target
 
 
 def run_cli(capsys, *args):
@@ -308,8 +308,14 @@ def test_equivclasses_json_contains_known_class(capsys):
 def test_equivclasses_bounds(capsys):
     code, _, err = run_cli(capsys, "equivclasses", "--len", "6", "--n", "2..8")
     assert code == 2 and "error:" in err
-    code, _, err = run_cli(capsys, "equivclasses", "--len", "3", "--n", "2..11")
-    assert code == 2 and "error:" in err
+    code, _, err = run_cli(capsys, "equivclasses", "--len", "3", "--n", "2..17")
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+
+def test_equivclasses_reaches_past_size_ten(capsys):
+    code, out, _ = run_cli(capsys, "equivclasses", "--len", "5", "--n", "2..12")
+    assert code == 0
+    assert len(out.splitlines()) == 36
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +357,15 @@ def test_verify_unwritable_out_fails_before_the_suite(capsys, tmp_path, monkeypa
     )
     assert code == 2 and out == ""
     assert err.startswith("error:") and "report.json" in err
+
+
+def test_verify_checks_every_coefficient_below_the_order():
+    report = run_verify_target("thm2.4", 16)
+    assert report["status"] == "pass"
+    coeff_ns = {
+        c["n"] for c in report["cells"] if c["params"]["check"] == "coefficient"
+    }
+    assert coeff_ns == set(range(16))
 
 
 def test_verify_order_out_of_bounds(capsys):

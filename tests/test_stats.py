@@ -318,3 +318,14 @@ def test_size_limit_is_enforced():
             distribution_rows(17, "11", engine=engine)
     with pytest.raises(ValueError):
         distribution(-1, "11")
+
+
+def test_a_row_with_a_wrong_total_or_coefficient_is_rejected():
+    rows = [MultiPoly.const(1), MultiPoly.const(1), Q + MultiPoly.const(2)]
+    with pytest.raises(AssertionError, match="row 2 sums to 3, expected 2"):
+        stats._checked_last_row(rows)
+    rows[2] = Q.scale(3) - MultiPoly.const(1)
+    with pytest.raises(AssertionError, match="row 2 has a bad coefficient"):
+        stats._checked_last_row(rows)
+    rows[2] = Q + MultiPoly.const(1)
+    assert stats._checked_last_row(rows) == rows[2]
