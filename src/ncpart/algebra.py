@@ -3,6 +3,11 @@ polynomials in the markers q, p, v with rational coefficients.
 
 Everything here is exact: coefficients are :class:`fractions.Fraction`, no
 floating point is ever used, and every division checks its own exactness.
+
+Series equations have one solver, :func:`solve_poly_functional` (Newton
+iteration with order doubling, each round checked by re-expanding the
+equation); :func:`series_sqrt` and :func:`solve_quadratic` are its
+degree-2 cases.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ Rational = Union[int, Fraction]
 PolyLike = Union["MultiPoly", int, Fraction]
 
 _ZERO_EXP: Exponents = (0, 0, 0)
-_HALF = Fraction(1, 2)
 
 
 def _as_fraction(value: Rational) -> Fraction:
@@ -412,10 +416,6 @@ class TruncatedSeries:
         return cls.from_x_poly({0: 1}, order)
 
     @classmethod
-    def x(cls, order: int) -> "TruncatedSeries":
-        return cls.from_x_poly({1: 1}, order)
-
-    @classmethod
     def constant(cls, value: PolyLike, order: int) -> "TruncatedSeries":
         return cls.from_x_poly({0: value}, order)
 
@@ -467,14 +467,6 @@ class TruncatedSeries:
         if order >= len(self._coeffs):
             return self
         return TruncatedSeries(self._coeffs[:order])
-
-    def _padded(self, order: int) -> "TruncatedSeries":
-        """Extend with zero coefficients (internal: claims no new accuracy)."""
-        if order <= len(self._coeffs):
-            return self.truncate(order)
-        return TruncatedSeries(
-            self._coeffs + (MultiPoly.zero(),) * (order - len(self._coeffs))
-        )
 
     def shift_up(self, k: int) -> "TruncatedSeries":
         """Multiply by x^k, keeping the truncation order."""
@@ -666,152 +658,94 @@ def series_div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
 
 
 def series_sqrt(s: TruncatedSeries) -> TruncatedSeries:
-    """Square root with constant term 1, by Newton iteration.
-
-    The iteration t <- (t + s/t)/2 doubles the number of correct
-    coefficients each round; each round verifies the gained order by
-    re-expanding t^2 - s and aborts loudly if accuracy stalls.
-    """
+    """Square root with constant term 1: the degree-2 case Y^2 - s = 0,
+    Y(0) = 1, of :func:`solve_poly_functional`."""
     if s.coefficient(0) != MultiPoly.one():
         raise ConstantTermNotOne(
             f"series square root needs constant term 1, got {s.coefficient(0)}"
         )
-    n = s.order
-    t = TruncatedSeries.one(1)
-    correct = 1
-    while correct < n:
-        target = min(2 * correct, n)
-        s_part = s.truncate(target)
-        t_part = t._padded(target)
-        t_new = (t_part + series_div(s_part, t_part)).scale(_HALF)
-        residual = t_new * t_new - s_part
-        gained = residual.valuation()
-        if gained is not None and gained < target:
-            raise NoConvergence(
-                f"square-root iteration stalled at order {gained} (target {target})"
-            )
-        t = t_new
-        correct = target
-    return t
+    return solve_poly_functional([-s, 0, 1], 1)
 
 
 def solve_quadratic(
     a: TruncatedSeries, b: TruncatedSeries, c: TruncatedSeries
 ) -> TruncatedSeries:
-    """The power-series solution F of a*F^2 - b*F + c = 0 with F(0) = c(0)/b(0).
+    """The power-series solution F of a*F^2 - b*F + c = 0 with F(0) = c(0)/b(0):
+    the degree-2 case of :func:`solve_poly_functional`.
 
-    Coefficients are extracted one order at a time; the linearization
-    denominator 2*a(0)*F(0) - b(0) must be a nonzero rational.  The full
-    residual is re-expanded at the end and must vanish identically.
+    b(0) must be a nonzero rational and F(0) must solve the equation at
+    order 0, otherwise :class:`NoSeriesSolution` is raised.  Then
+    a(0)*F(0)^2 = 0, so the derivative 2*a(0)*F(0) - b(0) at the seed is
+    -b(0), a nonzero rational.
     """
-    n = min(a.order, b.order, c.order)
-    A = a.truncate(n).coeffs
-    B = b.truncate(n).coeffs
-    C = c.truncate(n).coeffs
-    b0 = B[0].as_constant()
-    if b0 is None or not b0:
+    b0 = b.coefficient(0).as_constant()
+    if not b0:
         raise NoSeriesSolution(
-            f"leading coefficient b(0) = {B[0]} is not a nonzero rational"
+            f"leading coefficient b(0) = {b.coefficient(0)} is not a nonzero rational"
         )
-    f0 = C[0].scale(1 / b0)
-    if not (A[0] * f0 * f0 - B[0] * f0 + C[0]).is_zero():
+    a0, c0 = a.coefficient(0), c.coefficient(0)
+    f0 = c0.scale(1 / b0)
+    if not (a0 * f0 * f0 - f0.scale(b0) + c0).is_zero():
         raise NoSeriesSolution(
             "F(0) = c(0)/b(0) does not satisfy the quadratic at order 0"
         )
-    denom_poly = A[0].scale(2) * f0 - B[0]
-    denom = denom_poly.as_constant()
-    if denom is None or not denom:
-        raise NoSeriesSolution(
-            f"linearization denominator {denom_poly} is not a nonzero rational"
-        )
-    f: list[MultiPoly] = [f0]
-    zero = MultiPoly.zero()
-    for k in range(1, n):
-        # Residual coefficient at x^k with the unknown f_k set to 0.
-        acc = C[k]
-        for i in range(k + 1):
-            if B[i].is_zero():
-                continue
-            fj = f[k - i] if k - i < len(f) else zero
-            if not fj.is_zero():
-                acc = acc - B[i] * fj
-        for i in range(k + 1):
-            Ai = A[i]
-            if Ai.is_zero():
-                continue
-            conv = zero
-            for j in range(k - i + 1):
-                l = k - i - j
-                fj = f[j] if j < len(f) else zero
-                fl = f[l] if l < len(f) else zero
-                if fj.is_zero() or fl.is_zero():
-                    continue
-                conv = conv + fj * fl
-            if not conv.is_zero():
-                acc = acc + Ai * conv
-        # acc + (2*a0*f0 - b0) * f_k = 0
-        f.append(acc.scale(-1 / denom))
-    result = TruncatedSeries(f)
-    if not (a.truncate(n) * result * result - b.truncate(n) * result + c.truncate(n)).is_zero():
-        raise NoSeriesSolution("computed series does not satisfy the quadratic")
-    return result
+    return solve_poly_functional([c, -b, a], f0)
 
 
 def solve_poly_functional(
-    coeffs: Sequence[TruncatedSeries], y0: Rational
+    coeffs: Sequence[Union[TruncatedSeries, PolyLike]], y0: PolyLike
 ) -> TruncatedSeries:
     """Solve sum_i coeffs[i] * Y^i = 0 for a series Y with Y(0) = y0.
 
-    Newton iteration with order doubling; every round re-expands the
-    defect and must at least double the vanishing order, otherwise
-    :class:`NoConvergence` is raised.  The derivative at the seed must
-    have an invertible (nonzero rational) constant term, otherwise
-    :class:`SingularDerivative` is raised.
+    The one series solver of this module: :func:`series_sqrt` and
+    :func:`solve_quadratic` are its degree-2 cases.  A coefficient may be
+    a series or a constant; the order is the smallest series order.
+
+    Newton iteration with order doubling.  Each round expands the defect
+    P(y) once, at the doubled order, and first requires it to vanish below
+    the order the previous round claimed; the final residual must vanish
+    at the full order.  Either failure raises :class:`NoConvergence`.  The
+    derivative at the seed must have a nonzero rational constant term,
+    otherwise :class:`SingularDerivative` is raised.
     """
-    if len(coeffs) < 2:
-        raise ValueError("need a polynomial of degree >= 1 in Y")
-    y0 = _as_fraction(y0)
-    n = min(c.order for c in coeffs)
-    P = [c.truncate(n) for c in coeffs]
+    n = min((c.order for c in coeffs if isinstance(c, TruncatedSeries)), default=0)
+    if len(coeffs) < 2 or not n:
+        raise ValueError("need degree >= 1 in Y and a series coefficient")
+    P = [
+        c.truncate(n) if isinstance(c, TruncatedSeries) else MultiPoly.coerce(c)
+        for c in coeffs
+    ]
     dP = [P[i].scale(i) for i in range(1, len(P))]
 
-    def eval_poly(parts: Sequence[TruncatedSeries], y: TruncatedSeries) -> TruncatedSeries:
-        acc = parts[-1].truncate(y.order)
-        for i in range(len(parts) - 2, -1, -1):
-            acc = acc * y + parts[i].truncate(y.order)
-        return acc
-
-    # Seed checks at order 0.
-    seed = TruncatedSeries.constant(y0, 1)
-    d0 = eval_poly(dP, seed).coefficient(0).as_constant()
-    if d0 is None or not d0:
-        raise SingularDerivative(
-            f"derivative constant term at the seed is {eval_poly(dP, seed).coefficient(0)}"
-        )
-    if not eval_poly(P, seed).coefficient(0).is_zero():
-        raise NoConvergence(
-            f"seed value {y0} does not satisfy the equation at order 0"
-        )
-
-    y = seed
+    y = TruncatedSeries.constant(y0, 1)
+    d0 = _horner(dP, y).coefficient(0)
+    if not d0.as_constant():
+        raise SingularDerivative(f"derivative constant term at the seed is {d0}")
     correct = 1
     while correct < n:
         target = min(2 * correct, n)
-        y_part = y._padded(target)
-        defect = eval_poly(P, y_part)
-        deriv = eval_poly(dP, y_part)
-        y_new = y_part - series_div(defect, deriv)
-        check = eval_poly(P, y_new)
-        gained = check.valuation()
-        if gained is not None and gained < target:
+        y = TruncatedSeries(y.coeffs + (MultiPoly.zero(),) * (target - correct))
+        defect = _horner(P, y)
+        gained = defect.valuation()
+        if gained is not None and gained < correct:
             raise NoConvergence(
-                f"Newton iteration stalled at order {gained} (target {target})"
+                f"Newton iteration stalled at order {gained} (claimed {correct})"
             )
-        y = y_new
+        y = y - series_div(defect, _horner(dP, y))
         correct = target
-    if not eval_poly(P, y).is_zero():
+    if not _horner(P, y).is_zero():
         raise NoConvergence("computed series does not satisfy the equation")
     return y
+
+
+def _horner(
+    parts: Sequence[Union[TruncatedSeries, MultiPoly]], y: TruncatedSeries
+) -> TruncatedSeries:
+    """sum_i parts[i] * y^i modulo x^(y.order), by Horner's rule."""
+    acc = parts[-1]
+    for part in reversed(parts[:-1]):
+        acc = y * acc + part
+    return TruncatedSeries.zero(y.order) + acc
 
 
 def catalan_series(order: int) -> TruncatedSeries:
@@ -824,7 +758,7 @@ def catalan_series(order: int) -> TruncatedSeries:
         raise ValueError("order must be >= 1")
     radicand = TruncatedSeries.from_x_poly({0: 1, 1: -4}, order + 1)
     numerator = TruncatedSeries.one(order + 1) - series_sqrt(radicand)
-    by_radical = numerator.shift_down(1).scale(_HALF)
+    by_radical = numerator.shift_down(1).scale(Fraction(1, 2))
 
     values = [Fraction(1)]
     for n in range(1, order):

@@ -51,7 +51,6 @@ from . import formulas, stats
 from .algebra import MultiPoly, TruncatedSeries, catalan_series
 from .bijections import map_descent_code, map_equiv, map_f, map_g, map_runrev
 from .core import (
-    DEFAULT_ENUM_LIMIT,
     PatternFamily,
     RhoTail,
     Run,
@@ -69,7 +68,7 @@ from .core import (
     iter_nc,
     parse_sequence,
 )
-from .errors import LimitExceeded, NcpartError, UnsupportedFamily
+from .errors import NcpartError, UnsupportedFamily
 from .recurrence import recurrence_table, staircase_series_by_recurrence
 from .stats import count_subword
 
@@ -84,6 +83,9 @@ __all__ = [
 
 #: Hard ceiling on requested series orders.
 MAX_ORDER = 24
+
+#: The orders ``verify`` and its suites accept.
+_VERIFY_ORDERS = (2, 16)
 
 #: ``--family`` name -> family class; the class's fields are its flags.
 _FAMILIES: dict[str, type] = {
@@ -111,15 +113,17 @@ def _checked(args: argparse.Namespace) -> argparse.Namespace:
     if getattr(args, "n_range", None) is not None:
         args.n_range = _parse_range(args.n_range)
     order = getattr(args, "order", None)
-    if order is not None and not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be between 1 and {MAX_ORDER}")
-    n = getattr(args, "n", None)
-    if n is not None:
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        if n > DEFAULT_ENUM_LIMIT:
-            raise LimitExceeded(f"n = {n} exceeds the size limit {DEFAULT_ENUM_LIMIT}")
+    if order is not None:
+        bounds = _VERIFY_ORDERS if args.subcommand == "verify" else (1, MAX_ORDER)
+        _check_order(order, *bounds)
+    if getattr(args, "n", None) is not None:
+        stats._check_size(args.n)
     return args
+
+
+def _check_order(order: int, lo: int, hi: int) -> None:
+    if not lo <= order <= hi:
+        raise ValueError(f"order must be between {lo} and {hi}")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -734,8 +738,7 @@ _VERIFY: dict[str, tuple[Callable[[int], list[dict]], int]] = {
 
 
 def _report(target: str, order: int, suite: Callable[[int], list[dict]]) -> dict:
-    if not 2 <= order <= 16:
-        raise ValueError("order must be between 2 and 16")
+    _check_order(order, *_VERIFY_ORDERS)
     cells = suite(order)
     status = "pass" if all(c["status"] == "pass" for c in cells) else "fail"
     return {"target": target, "order": order, "status": status, "cells": cells}

@@ -302,7 +302,6 @@ def gf_staircase_joint_rep(
     q = _q()
     one = MultiPoly.one()
     y = gf_staircase_tail(m, a, order)
-    x = TruncatedSeries.x(order)
     one_minus_x = TruncatedSeries.from_x_poly({0: 1, 1: -1}, order)
     xy = y.shift_up(1)
     one_minus_xy = TruncatedSeries.one(order) - xy

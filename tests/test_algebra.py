@@ -20,7 +20,10 @@ from ncpart.algebra import (
 from ncpart.core import catalan
 from ncpart.errors import (
     ConstantTermNotOne,
+    NoConvergence,
     NonInvertibleConstantTerm,
+    NoSeriesSolution,
+    SingularDerivative,
 )
 
 Q = MultiPoly.marker("q")
@@ -183,6 +186,60 @@ def test_solve_poly_functional_recovers_catalan():
     one = TruncatedSeries.one(order)
     solution = solve_poly_functional([one, -one, x], 1)
     assert solution == catalan_series(order)
+
+
+def _q_poly(terms):
+    return sum((MultiPoly.marker("q", e, c) for e, c in terms), MultiPoly.zero())
+
+
+# Small rational polynomials in q, as series coefficients.
+small_q_polys = st.lists(
+    st.tuples(st.integers(0, 2), st.fractions(-3, 3, max_denominator=3)), max_size=2
+).map(_q_poly)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(small_q_polys, min_size=1, max_size=12))
+def test_series_sqrt_of_a_square_is_the_root(coeffs):
+    s = TruncatedSeries([MultiPoly.one()] + coeffs[1:])
+    assert series_sqrt(s * s) == s
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 10),
+    st.dictionaries(st.integers(1, 9), small_q_polys, max_size=3),
+    st.dictionaries(st.integers(1, 9), small_q_polys, max_size=3),
+    st.dictionaries(st.integers(0, 9), small_q_polys, max_size=3),
+)
+def test_solve_quadratic_matches_the_fixed_point_iterate(
+    order, a_terms, b_terms, c_terms
+):
+    # a(0) = 0 and b(0) = 1, so F <- c + a*F^2 + (1 - b)*F fixes one more
+    # coefficient of the solution per step.
+    a = TruncatedSeries.from_x_poly(a_terms, order)
+    b = TruncatedSeries.from_x_poly({0: 1, **b_terms}, order)
+    c = TruncatedSeries.from_x_poly(c_terms, order)
+    fixed = TruncatedSeries.zero(order)
+    for _ in range(order):
+        fixed = c + a * fixed * fixed + (TruncatedSeries.one(order) - b) * fixed
+    assert solve_quadratic(a, b, c) == fixed
+
+
+def test_solver_error_classes():
+    one = TruncatedSeries.one(6)
+    x = TruncatedSeries.from_x_poly({1: 1}, 6)
+    with pytest.raises(NoSeriesSolution):
+        solve_quadratic(one, x, one)  # b(0) = 0
+    with pytest.raises(NoSeriesSolution):
+        solve_quadratic(one, one, one)  # F(0) = 1 gives 1 - 1 + 1 != 0
+    with pytest.raises(SingularDerivative):
+        solve_poly_functional([TruncatedSeries.zero(6), 0, 1], 0)  # Y^2 = 0
+    # 1 - Y = 0 with the wrong seed Y(0) = 2: caught by the first round's
+    # defect check, and at order 1, where no round runs, by the residual.
+    for order in (6, 1):
+        with pytest.raises(NoConvergence):
+            solve_poly_functional([TruncatedSeries.one(order), -1], 2)
 
 
 def test_series_json_round_trip():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncpart import stats
+from ncpart import cli, stats
 from ncpart.cli import build_parser, entry, run_verify_target
 
 
@@ -368,11 +368,18 @@ def test_verify_checks_every_coefficient_below_the_order():
     assert coeff_ns == set(range(16))
 
 
-def test_verify_order_out_of_bounds(capsys):
-    code, _, err = run_cli(
-        capsys, "verify", "--target", "table1", "--order", "17"
+@pytest.mark.parametrize("order", ["1", "17", "25"])
+def test_verify_order_out_of_bounds(capsys, tmp_path, monkeypatch, order):
+    def suite(order):
+        raise AssertionError("an out-of-range order ran a suite")
+
+    monkeypatch.setitem(cli._VERIFY, "table1", (suite, 13))
+    out_file = tmp_path / "report.json"
+    code, out, err = run_cli(
+        capsys, "verify", "--target", "table1", "--order", order, "--out", str(out_file)
     )
-    assert code == 2 and "error:" in err
+    assert (code, out, err) == (2, "", "error: order must be between 2 and 16\n")
+    assert not out_file.exists()
 
 
 # ---------------------------------------------------------------------------
