@@ -28,7 +28,6 @@ __all__ = [
     "DEFAULT_ORDER",
     "MultiPoly",
     "TruncatedSeries",
-    "series_inv",
     "series_div",
     "series_sqrt",
     "solve_quadratic",
@@ -261,7 +260,7 @@ class MultiPoly:
             terms[ne] = c / dc
         return _poly_from_clean(terms)
 
-    # -- substitution and calculus ----------------------------------------
+    # -- substitution ------------------------------------------------------
 
     def substitute(self, **values: Union[Rational, "MultiPoly"]) -> "MultiPoly":
         """Substitute values (rationals or polynomials) for markers.
@@ -288,20 +287,6 @@ class MultiPoly:
                 term = term * MultiPoly({tuple(residual): 1})  # type: ignore[arg-type]
             result = result + term
         return result
-
-    def derivative(self, name: str) -> "MultiPoly":
-        if name not in MARKERS:
-            raise ValueError(f"unknown marker {name!r}")
-        idx = MARKERS.index(name)
-        terms: dict[Exponents, Fraction] = {}
-        for e, c in self._terms.items():
-            if e[idx] == 0:
-                continue
-            ne = list(e)
-            ne[idx] -= 1
-            key = tuple(ne)
-            terms[key] = terms.get(key, Fraction(0)) + c * e[idx]  # type: ignore[index]
-        return _poly_from_clean({e: c for e, c in terms.items() if c})
 
     # -- comparison / hashing / rendering ----------------------------------
 
@@ -495,12 +480,9 @@ class TruncatedSeries:
                 )
         return TruncatedSeries(self._coeffs[k:])
 
-    def map_coeffs(self, fn) -> "TruncatedSeries":
-        return TruncatedSeries([fn(c) for c in self._coeffs])
-
     def substitute(self, **values: Union[Rational, MultiPoly]) -> "TruncatedSeries":
         """Substitute marker values in every coefficient."""
-        return self.map_coeffs(lambda c: c.substitute(**values))
+        return TruncatedSeries([c.substitute(**values) for c in self._coeffs])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -597,27 +579,10 @@ class TruncatedSeries:
             "coeffs": [c.to_json_obj() for c in self._coeffs],
         }
 
-    @classmethod
-    def from_json_obj(cls, data: Mapping) -> "TruncatedSeries":
-        coeffs = [MultiPoly.from_json_obj(c) for c in data["coeffs"]]
-        if len(coeffs) != int(data["order"]):
-            raise ValueError("series JSON order does not match coefficient count")
-        return cls(coeffs)
-
 
 # ---------------------------------------------------------------------------
 # Series operations
 # ---------------------------------------------------------------------------
-
-
-def series_inv(s: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse; the constant term must be a nonzero rational."""
-    c0 = s.coefficient(0).as_constant()
-    if c0 is None or not c0:
-        raise NonInvertibleConstantTerm(
-            f"constant term {s.coefficient(0)} is not a nonzero rational"
-        )
-    return series_div(TruncatedSeries.one(s.order), s)
 
 
 def series_div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
@@ -626,7 +591,9 @@ def series_div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
     The divisor's constant term must be a nonzero rational, or a single
     monomial that divides exactly at every step of the long division
     (each step's division is verified; an inexact step raises
-    :class:`NonInvertibleConstantTerm`).
+    :class:`NonInvertibleConstantTerm`).  The monomial case is live:
+    ``formulas.gf_1m(1)`` and ``formulas.gf_1m2(1)`` divide by a series
+    whose constant term is 2q.
     """
     n = min(num.order, den.order)
     a = num.truncate(n).coeffs

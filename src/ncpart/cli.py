@@ -60,6 +60,7 @@ from .core import (
     StaircaseTail,
     NCPartition,
     SubwordPattern,
+    _check_size,
     as_pattern,
     catalan,
     classify_pattern,
@@ -117,7 +118,7 @@ def _checked(args: argparse.Namespace) -> argparse.Namespace:
         bounds = _VERIFY_ORDERS if args.subcommand == "verify" else (1, MAX_ORDER)
         _check_order(order, *bounds)
     if getattr(args, "n", None) is not None:
-        stats._check_size(args.n)
+        _check_size(args.n)
     return args
 
 
@@ -400,17 +401,15 @@ def _compare(params: dict, expected: Sequence, actual: Sequence) -> list[dict]:
 # Table 1: each length-3 row's stored quadratic A*F^2 - B*F + C = 0, and the
 # series the row's equation and the transfer engine's rows are checked against.
 
-_TABLE1_SERIES: dict[str, Callable[[int], TruncatedSeries]] = {
-    "111": lambda order: formulas.gf_1m(3, order),
-    "112": lambda order: formulas.gf_1m2(2, order),
-    "121": lambda order: formulas.gf_1a_rho_1b(1, (1,), 1, order),
-    "122": lambda order: formulas.gf_staircase_tail(2, 2, order),
-    "211": lambda order: formulas.gf_rho_1b((1,), 2, order),
-    "212": catalan_series,
-    "221": lambda order: formulas.gf_rho_1b((1, 1), 1, order),
-}
+TABLE1_PATTERNS: tuple[str, ...] = ("111", "112", "121", "122", "211", "212", "221")
 
-TABLE1_PATTERNS: tuple[str, ...] = tuple(_TABLE1_SERIES)
+
+def _table1_series(pattern: str, order: int) -> TruncatedSeries:
+    # 212 never occurs, so its series is the Catalan series.
+    if pattern == "212":
+        return catalan_series(order)
+    return formulas.closed_series(classify_pattern(pattern), order)
+
 
 #: One stored equation coefficient: (pattern, part, x power, marker exponents).
 MutationSlot = tuple[str, str, int, tuple[int, int, int]]
@@ -471,7 +470,7 @@ def _groups_table1(order: int, mutation: MutationSlot | None = None) -> list[dic
     all_rows = stats.batch_distribution_rows(order - 1, TABLE1_PATTERNS)
     cells = []
     for (pattern, parts), rows in zip(equations.items(), all_rows):
-        series = _TABLE1_SERIES[pattern](order)
+        series = _table1_series(pattern, order)
         eq_a, eq_b, eq_c = (
             TruncatedSeries.from_x_poly(parts[key], order) for key in "ABC"
         )

@@ -46,7 +46,7 @@ __all__ = [
     "as_pattern",
 ]
 
-#: Largest n accepted by the enumerators unless the caller raises the limit.
+#: Largest n accepted by the enumerators and the distribution engines.
 DEFAULT_ENUM_LIMIT = 16
 
 Letters = tuple[int, ...]
@@ -286,17 +286,24 @@ def iter_rgs(n: int) -> Iterator[Letters]:
             maxima[j] = maxima[i]
 
 
-def iter_nc(n: int, *, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[NCPartition]:
+def _check_size(n: int) -> None:
+    """The one size check of every enumeration and distribution route."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n > DEFAULT_ENUM_LIMIT:
+        raise LimitExceeded(
+            f"n = {n} exceeds the enumeration limit {DEFAULT_ENUM_LIMIT}"
+        )
+
+
+def iter_nc(n: int) -> Iterator[NCPartition]:
     """Yield all non-crossing partitions of size n in lexicographic order.
 
     The walk extends a prefix letter by letter; the letters that may follow
     a prefix are exactly the still-open letters plus (max so far) + 1, so no
     dead branches are ever visited and nothing is generated-then-filtered.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > limit:
-        raise LimitExceeded(f"n = {n} exceeds the enumeration limit {limit}")
+    _check_size(n)
     if n == 0:
         yield NCPartition._trusted(())
         return
@@ -318,9 +325,9 @@ def iter_nc(n: int, *, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[NCPartition]
             todo.append((letters + (stack[idx],), stack[: idx + 1], maximum))
 
 
-def enumerate_nc(n: int, *, limit: int = DEFAULT_ENUM_LIMIT) -> list[NCPartition]:
+def enumerate_nc(n: int) -> list[NCPartition]:
     """All non-crossing partitions of size n, lexicographically sorted."""
-    return list(iter_nc(n, limit=limit))
+    return list(iter_nc(n))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ __all__ = [
     "NoSeriesSolution",
     "SingularDerivative",
     "NoConvergence",
-    "VSpecializationSingular",
     "UnsupportedFamily",
 ]
 
@@ -66,10 +65,6 @@ class SingularDerivative(NcpartError):
 
 class NoConvergence(NcpartError):
     """An iteration failed to gain the expected order of accuracy."""
-
-
-class VSpecializationSingular(NcpartError):
-    """The requested specialization value makes a required constant term vanish."""
 
 
 class UnsupportedFamily(NcpartError):

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .algebra import (
     DEFAULT_ORDER,
     MultiPoly,
     TruncatedSeries,
     series_div,
-    series_inv,
     series_sqrt,
     solve_poly_functional,
     solve_quadratic,
@@ -42,11 +41,7 @@ from .core import (
     catalan,
     classify_pattern,
 )
-from .errors import (
-    NonInvertibleConstantTerm,
-    UnsupportedFamily,
-    VSpecializationSingular,
-)
+from .errors import UnsupportedFamily
 
 __all__ = [
     "CLOSED_FORMS",
@@ -114,30 +109,15 @@ def joint_quadratic(
     q = _q()
     p = MultiPoly.marker("p")
     one = MultiPoly.one()
-    shared: dict[int, MultiPoly] = {}
-
-    def add(terms: Mapping[int, MultiPoly]) -> None:
-        for k, val in terms.items():
-            shared[k] = shared.get(k, MultiPoly.zero()) + val
-
     if a >= b:
         # marked-run weight q(p-1) on x^a; ascent weight (q-1)(1-px) on x^b
-        add({a: q * (p - one)})
-        add({b: q - one, b + 1: -(q - one) * p})
+        shared = [(a, q * (p - one)), (b, q - one), (b + 1, -(q - one) * p)]
     else:
         # run weight (p-1) on x^a; ascent weight (q-1)(1-x)p^(b-a+1) on x^b
-        add({a: p - one})
         t = (q - one) * p ** (b - a + 1)
-        add({b: t, b + 1: -t})
-
-    a_terms: dict[int, MultiPoly] = {1: one, 2: -p}
-    b_terms: dict[int, MultiPoly] = {0: one, 1: -p}
-    for k, val in shared.items():
-        a_terms[k] = a_terms.get(k, MultiPoly.zero()) + val
-        b_terms[k] = b_terms.get(k, MultiPoly.zero()) + val
-
-    A = TruncatedSeries.from_x_poly(a_terms, order)
-    B = TruncatedSeries.from_x_poly(b_terms, order)
+        shared = [(a, p - one), (b, t), (b + 1, -t)]
+    A = _xseries([(1, one), (2, -p)] + shared, order)
+    B = _xseries([(0, one), (1, -p)] + shared, order)
     C = _xseries([(0, one), (1, -p), (a, p - one)], order)
     return A, B, C
 
@@ -156,6 +136,16 @@ def gf_joint_1a_1b2(a: int, b: int, order: int = DEFAULT_ORDER) -> TruncatedSeri
 # ---------------------------------------------------------------------------
 
 
+def _radical(
+    w: TruncatedSeries, radicand: TruncatedSeries, denominator: TruncatedSeries
+) -> TruncatedSeries:
+    """The shape every single-pattern radical shares, (w - sqrt(radicand))
+    / (x * denominator), checked to be a counting series."""
+    return _check_combinatorial(
+        series_div((w - series_sqrt(radicand)).shift_down(1), denominator)
+    )
+
+
 def gf_1m(m: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Occurrence series (marker q) of the constant pattern 1^m."""
     Run(m)
@@ -172,12 +162,11 @@ def gf_1m(m: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
         ],
         n,
     )
-    numerator = w - series_sqrt(w * inner)
     denominator = _xseries(
         [(0, MultiPoly.const(2)), (1, q.scale(-2)), (m - 1, (q - one).scale(2))],
         order,
     )
-    return _check_combinatorial(series_div(numerator.shift_down(1), denominator))
+    return _radical(w, w * inner, denominator)
 
 
 def gf_1m2(m: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -188,12 +177,11 @@ def gf_1m2(m: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     n = order + 1
     w = _xseries([(0, one), (m, q - one)], n)
     mirror = _xseries([(0, one), (m, one - q)], n)
-    inner = mirror * mirror - TruncatedSeries.from_x_poly({1: 4}, n)
-    numerator = w - series_sqrt(inner)
+    radicand = mirror * mirror - TruncatedSeries.from_x_poly({1: 4}, n)
     denominator = _xseries(
         [(0, MultiPoly.const(2)), (m - 1, (q - one).scale(2))], order
     )
-    return _check_combinatorial(series_div(numerator.shift_down(1), denominator))
+    return _radical(w, radicand, denominator)
 
 
 def gf_rho_1b(
@@ -210,14 +198,13 @@ def gf_rho_1b(
     one = MultiPoly.one()
     n = order + 1
     w = _xseries([(0, one), (a + b - 1, (q - one).scale(2))], n)
-    inner = _xseries(
+    radicand = _xseries(
         [(0, one), (1, MultiPoly.const(-4)), (a + b, (q - one).scale(-4))], n
     )
-    numerator = w - series_sqrt(inner)
     denominator = _xseries(
         [(0, MultiPoly.const(2)), (a + b - 2, (q - one).scale(2))], order
     )
-    return _check_combinatorial(series_div(numerator.shift_down(1), denominator))
+    return _radical(w, radicand, denominator)
 
 
 def gf_1a_rho_1b(
@@ -238,21 +225,16 @@ def gf_1a_rho_1b(
     one = MultiPoly.one()
     n = order + 1
 
-    def lifted(span: int) -> dict[int, MultiPoly]:
-        # (1-q)(1 - x^span) x^(m+t), dropped entirely when span == 0
-        terms: dict[int, MultiPoly] = {0: one, 1: -one}
-        if span:
-            terms[m + t] = one - q
-            terms[m + t + span] = q - one
-        return terms
+    def lifted(span: int) -> TruncatedSeries:
+        # (1-x) + (1-q)(1 - x^span) x^(m+t): the second part vanishes when span == 0
+        return _xseries(
+            [(0, one), (1, -one), (m + t, one - q), (m + t + span, q - one)], n
+        )
 
-    P = TruncatedSeries.from_x_poly(lifted(s - 1), n)
-    Q = TruncatedSeries.from_x_poly(lifted(s), n)
-    radicand = Q - P.shift_up(1).scale(4)
-    numerator = Q - series_sqrt(Q) * series_sqrt(radicand)
-    return _check_combinatorial(
-        series_div(numerator.shift_down(1), P.truncate(order).scale(2))
-    )
+    P = lifted(s - 1)
+    Q = lifted(s)
+    # One root of Q * (Q - 4xP): sqrt(Q) * sqrt(Q - 4xP), both with constant term 1.
+    return _radical(Q, Q * (Q - P.shift_up(1).scale(4)), P.scale(2))
 
 
 # ---------------------------------------------------------------------------
@@ -263,16 +245,15 @@ def gf_1a_rho_1b(
 def _staircase_kernel(m: int, a: int, order: int) -> list[TruncatedSeries]:
     """Coefficients (in y-degree order) of the kernel polynomial whose
     power-series root with y(0)=1 is the staircase-tail series."""
-    weight = MultiPoly.marker("q") - MultiPoly.one()
-    degree = max(2, m)
-    terms: list[dict[int, MultiPoly]] = [dict() for _ in range(degree + 1)]
-    terms[0][0] = MultiPoly.one()
-    terms[1][0] = -MultiPoly.one()
-    terms[2][1] = terms[2].get(1, MultiPoly.zero()) + MultiPoly.one()
+    weight = _q() - MultiPoly.one()
     exp = a + m - 2
-    terms[m][exp] = terms[m].get(exp, MultiPoly.zero()) + weight
-    terms[m - 1][exp] = terms[m - 1].get(exp, MultiPoly.zero()) - weight
-    return [TruncatedSeries.from_x_poly(t, order) for t in terms]
+    pairs: list[list[tuple[int, object]]] = [[] for _ in range(max(2, m) + 1)]
+    pairs[0].append((0, 1))
+    pairs[1].append((0, -1))
+    pairs[2].append((1, 1))
+    pairs[m].append((exp, weight))
+    pairs[m - 1].append((exp, -weight))
+    return [_xseries(terms, order) for terms in pairs]
 
 
 def gf_staircase_tail(m: int, a: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -302,9 +283,10 @@ def gf_staircase_joint_rep(
     q = _q()
     one = MultiPoly.one()
     y = gf_staircase_tail(m, a, order)
+    unit = TruncatedSeries.one(order)
     one_minus_x = TruncatedSeries.from_x_poly({0: 1, 1: -1}, order)
     xy = y.shift_up(1)
-    one_minus_xy = TruncatedSeries.one(order) - xy
+    one_minus_xy = unit - xy
     cat = [catalan(j) for j in range(a)]
 
     def low_sum(u: TruncatedSeries) -> TruncatedSeries:
@@ -312,7 +294,7 @@ def gf_staircase_joint_rep(
         poly = TruncatedSeries.from_x_poly(
             {j: cat[j] for j in range(a)}, order
         )
-        return series_div(poly, TruncatedSeries.one(order) - u)
+        return series_div(poly, unit - u)
 
     def mid_sum(u: TruncatedSeries, v_rat: Fraction) -> TruncatedSeries:
         # x * sum_{j<=a-3} sum_{1<=i<=a-2-j} C_i C_j x^(i+j) / ((1-u)(1-v x))
@@ -326,56 +308,48 @@ def gf_staircase_joint_rep(
                     catalan(i) * catalan(j)
                 )
         poly = TruncatedSeries.from_x_poly(terms, order)
-        den = (TruncatedSeries.one(order) - u) * (
-            TruncatedSeries.from_x_poly({0: 1, 1: -v_rat}, order)
-        )
+        den = (unit - u) * TruncatedSeries.from_x_poly({0: 1, 1: -v_rat}, order)
         return series_div(poly, den)
 
-    try:
-        inv_x_xy = series_inv(one_minus_x * one_minus_xy)
-        diag = (
-            (xy ** m) * one_minus_x - one_minus_xy.shift_up(m)
-        ) * inv_x_xy * (q - one)
-        diag = diag.shift_up(a - 2)
-        axx = (
-            diag
-            - mid_sum(xy, Fraction(1))
-            + inv_x_xy.shift_up(a).scale(cat[a - 1])
-            + low_sum(xy)
-        )
+    inv_x_xy = series_div(unit, one_minus_x * one_minus_xy)
+    diag = (
+        (xy ** m) * one_minus_x - one_minus_xy.shift_up(m)
+    ) * inv_x_xy * (q - one)
+    diag = diag.shift_up(a - 2)
+    axx = (
+        diag
+        - mid_sum(xy, Fraction(1))
+        + inv_x_xy.shift_up(a).scale(cat[a - 1])
+        + low_sum(xy)
+    )
 
-        if v == 1:
-            avx = axx
-        else:
-            one_minus_vx = TruncatedSeries.from_x_poly({0: 1, 1: -v}, order)
-            inv_pair = series_inv(one_minus_vx * one_minus_x)
-            g1 = inv_pair.shift_up(a).scale(cat[a - 1])
-            bracket_num = (
-                one_minus_x.scale(v ** m) - one_minus_vx
-            ) * (y - TruncatedSeries.one(order)) * inv_pair
-            g2 = bracket_num.shift_up(a + m - 2) * (one - q)
-            g2 = g2.scale(Fraction(1, 1) / (1 - v))
-            g3 = ((y - TruncatedSeries.one(order)) * axx).scale(
-                Fraction(1, 1) / (1 - v)
-            )
-            bracket = g1 + g2 + g3 - mid_sum(
-                TruncatedSeries.from_x_poly({1: v}, order), Fraction(1)
-            ) + low_sum(TruncatedSeries.from_x_poly({1: v}, order))
-            avx = series_div(
-                bracket, y - TruncatedSeries.constant(v, order)
-            ).scale(1 - v)
+    one_minus_vx = TruncatedSeries.from_x_poly({0: 1, 1: -v}, order)
+    y_minus_one = y - unit
+    if v == 1:
+        avx = axx
+    else:
+        inv_pair = series_div(unit, one_minus_vx * one_minus_x)
+        g1 = inv_pair.shift_up(a).scale(cat[a - 1])
+        bracket_num = (
+            one_minus_x.scale(v ** m) - one_minus_vx
+        ) * y_minus_one * inv_pair
+        g2 = bracket_num.shift_up(a + m - 2) * (one - q)
+        g2 = g2.scale(Fraction(1, 1) / (1 - v))
+        g3 = (y_minus_one * axx).scale(Fraction(1, 1) / (1 - v))
+        bracket = g1 + g2 + g3 - mid_sum(
+            TruncatedSeries.from_x_poly({1: v}, order), Fraction(1)
+        ) + low_sum(TruncatedSeries.from_x_poly({1: v}, order))
+        avx = series_div(
+            bracket, y - TruncatedSeries.constant(v, order)
+        ).scale(1 - v)
 
-        one_minus_vx = TruncatedSeries.from_x_poly({0: 1, 1: -v}, order)
-        y_minus_one = y - TruncatedSeries.one(order)
-        tail = series_inv(one_minus_vx).shift_up(a + m - 2) * y_minus_one
-        tail = tail * (q - one).scale(v ** m)
-        folded = (
-            y_minus_one * (avx - y)
-            - mid_sum(TruncatedSeries.zero(order), v).scale(v)
-            + tail
-        )
-    except NonInvertibleConstantTerm as exc:  # pragma: no cover - defensive
-        raise VSpecializationSingular(str(exc)) from exc
+    tail = series_div(y_minus_one, one_minus_vx).shift_up(a + m - 2)
+    tail = tail * (q - one).scale(v ** m)
+    folded = (
+        y_minus_one * (avx - y)
+        - mid_sum(TruncatedSeries.zero(order), v).scale(v)
+        + tail
+    )
 
     corrections: dict[int, Fraction] = {}
     for n in range(2, min(a, order)):
@@ -391,7 +365,8 @@ def gf_staircase_joint_rep(
         if total:
             corrections[n] = corrections.get(n, Fraction(0)) + total
 
-    result = folded + series_inv(one_minus_x) + TruncatedSeries.from_x_poly(
+    # 1/(1 - x) is the all-ones series.
+    result = folded + TruncatedSeries([1] * order) + TruncatedSeries.from_x_poly(
         corrections, order
     )
     integral = v.denominator == 1 and v >= 0

@@ -143,22 +143,18 @@ class StaircaseRecurrence:
         return TruncatedSeries([self.total(n) for n in range(order)])
 
 
-_TABLES: dict[tuple[int, int, bool], StaircaseRecurrence] = {}
+_TABLES: dict[tuple[int, int], StaircaseRecurrence] = {}
 
 
-def recurrence_table(m: int, a: int, *, clamp: bool = True) -> StaircaseRecurrence:
+def recurrence_table(m: int, a: int) -> StaircaseRecurrence:
     """Shared memoized recurrence table for the pattern 1 2 ... (m-1) m^a."""
-    key = (m, a, clamp)
-    table = _TABLES.get(key)
+    table = _TABLES.get((m, a))
     if table is None:
-        table = StaircaseRecurrence(m, a, clamp=clamp)
-        _TABLES[key] = table
+        table = _TABLES[(m, a)] = StaircaseRecurrence(m, a)
     return table
 
 
-def staircase_series_by_recurrence(
-    m: int, a: int, order: int, *, clamp: bool = True
-) -> TruncatedSeries:
+def staircase_series_by_recurrence(m: int, a: int, order: int) -> TruncatedSeries:
     """Distribution series of the pattern 1 2 ... (m-1) m^a computed from
     the recurrence (independent of the closed form)."""
-    return recurrence_table(m, a, clamp=clamp).series(order)
+    return recurrence_table(m, a).series(order)

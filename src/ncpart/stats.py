@@ -26,16 +26,16 @@ from typing import Sequence, Union
 
 from .algebra import MultiPoly
 from .core import (
-    DEFAULT_ENUM_LIMIT,
     NCPartition,
     SubwordPattern,
+    _check_size,
     _param_key,
     _standardise,
     as_ncpartition,
     as_pattern,
     catalan,
 )
-from .errors import EmptyPartition, LimitExceeded
+from .errors import EmptyPartition
 
 __all__ = [
     "count_subword",
@@ -139,15 +139,6 @@ def descent_count(pi: PartitionLike) -> int:
 # ---------------------------------------------------------------------------
 # Distribution engine
 # ---------------------------------------------------------------------------
-
-
-def _check_size(n: int) -> None:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > DEFAULT_ENUM_LIMIT:
-        raise LimitExceeded(
-            f"n = {n} exceeds the enumeration limit {DEFAULT_ENUM_LIMIT}"
-        )
 
 
 def _matcher(words: tuple[Letters, ...]):

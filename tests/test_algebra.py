@@ -73,12 +73,6 @@ def test_substitute():
         poly.substitute(w=1)
 
 
-def test_derivative():
-    poly = Q**3 + Q.scale(2) + MultiPoly.const(7)
-    assert poly.derivative("q") == Q**2 * 3 + 2
-    assert poly.derivative("p").is_zero()
-
-
 def test_str_canonical_forms():
     assert str(MultiPoly.zero()) == "0"
     assert str(MultiPoly.const(4) + Q) == "4 + q"
@@ -205,6 +199,30 @@ def test_series_sqrt_of_a_square_is_the_root(coeffs):
     assert series_sqrt(s * s) == s
 
 
+# Small rational polynomials in q and p.
+small_qp_polys = st.lists(
+    st.tuples(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.fractions(-3, 3, max_denominator=3),
+    ),
+    max_size=2,
+).map(lambda terms: MultiPoly({(eq, ep, 0): c for (eq, ep), c in terms}))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.dictionaries(st.integers(1, 7), small_qp_polys, max_size=3),
+    st.dictionaries(st.integers(1, 7), small_qp_polys, max_size=3),
+)
+def test_series_sqrt_is_multiplicative(order, a_terms, b_terms):
+    # Both roots have constant term 1, so their product is the root of a*b
+    # with constant term 1; formulas.gf_1a_rho_1b takes one root on this.
+    a = TruncatedSeries.from_x_poly({0: 1, **a_terms}, order)
+    b = TruncatedSeries.from_x_poly({0: 1, **b_terms}, order)
+    assert series_sqrt(a * b) == series_sqrt(a) * series_sqrt(b)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(1, 10),
@@ -240,13 +258,6 @@ def test_solver_error_classes():
     for order in (6, 1):
         with pytest.raises(NoConvergence):
             solve_poly_functional([TruncatedSeries.one(order), -1], 2)
-
-
-def test_series_json_round_trip():
-    series = catalan_series(6) * TruncatedSeries.constant(Q, 6)
-    data = series.to_json_obj()
-    assert data["order"] == 6
-    assert TruncatedSeries.from_json_obj(data) == series
 
 
 def test_series_str():

@@ -40,9 +40,9 @@ def test_recurrence_equals_brute_force():
 
 def test_clamped_and_unclamped_tables_agree():
     for m, a in ((2, 2), (3, 2)):
-        assert staircase_series_by_recurrence(
-            m, a, 9, clamp=True
-        ) == staircase_series_by_recurrence(m, a, 9, clamp=False)
+        assert StaircaseRecurrence(m, a).series(9) == StaircaseRecurrence(
+            m, a, clamp=False
+        ).series(9)
 
 
 def test_cell_anchors():
