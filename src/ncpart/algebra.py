@@ -1,7 +1,8 @@
 """Exact arithmetic for truncated power series in x whose coefficients are
 polynomials in the markers q, p, v with rational coefficients.
 
-Everything here is exact: coefficients are :class:`fractions.Fraction`, no
+Everything here is exact: an integral coefficient is stored as a plain
+``int`` and only a non-integral one as a :class:`fractions.Fraction`, no
 floating point is ever used, and every division checks its own exactness.
 
 Series equations have one solver, :func:`solve_poly_functional` (Newton
@@ -48,15 +49,19 @@ PolyLike = Union["MultiPoly", int, Fraction]
 _ZERO_EXP: Exponents = (0, 0, 0)
 
 
-def _as_fraction(value: Rational) -> Fraction:
-    if isinstance(value, Fraction):
+def _as_rational(value: Rational) -> Rational:
+    """``value`` in canonical form: an ``int`` when integral (never a
+    ``bool``), else a :class:`Fraction`; a float is a TypeError."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def _coeff_str(value: Fraction) -> str:
+def _coeff_str(value: Rational) -> str:
     """Render a rational coefficient as a string: '5', '-3', or '3/2'."""
     if value.denominator == 1:
         return str(value.numerator)
@@ -67,25 +72,29 @@ class MultiPoly:
     """An exact polynomial in the markers q, p, v.
 
     Immutable.  Terms are stored as a dict mapping exponent triples
-    ``(e_q, e_p, e_v)`` to nonzero :class:`Fraction` coefficients; zero
+    ``(e_q, e_p, e_v)`` to nonzero coefficients, each a plain ``int`` when
+    integral and a :class:`Fraction` (denominator > 1) otherwise; zero
     coefficients are never stored, so equality of term dicts is equality
-    of polynomials.
+    of polynomials.  Arithmetic stays in ``int`` until a value is
+    non-integral, and every result is put back in that canonical form.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Exponents, Rational] | None = None) -> None:
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, Rational] = {}
         if terms:
             for exps, coeff in terms.items():
-                c = _as_fraction(coeff)
+                c = _as_rational(coeff)
                 if not c:
                     continue
                 e = (int(exps[0]), int(exps[1]), int(exps[2]))
                 if e[0] < 0 or e[1] < 0 or e[2] < 0:
                     raise ValueError(f"negative marker exponent in {exps!r}")
-                clean[e] = clean.get(e, Fraction(0)) + c
-                if not clean[e]:
+                s = _as_rational(clean.get(e, 0) + c)
+                if s:
+                    clean[e] = s
+                else:
                     del clean[e]
         object.__setattr__(self, "_terms", clean)
 
@@ -104,10 +113,10 @@ class MultiPoly:
 
     @classmethod
     def const(cls, value: Rational) -> "MultiPoly":
-        c = _as_fraction(value)
+        c = _as_rational(value)
         if not c:
             return _POLY_ZERO
-        return cls({_ZERO_EXP: c})
+        return _poly_from_clean({_ZERO_EXP: c})
 
     @classmethod
     def marker(cls, name: str, exponent: int = 1, coeff: Rational = 1) -> "MultiPoly":
@@ -127,29 +136,29 @@ class MultiPoly:
 
     # -- inspection --------------------------------------------------------
 
-    def items(self) -> Iterator[tuple[Exponents, Fraction]]:
+    def items(self) -> Iterator[tuple[Exponents, Rational]]:
         """Iterate terms in canonical order (ascending exponent triples)."""
         return iter(sorted(self._terms.items()))
 
     def is_zero(self) -> bool:
         return not self._terms
 
-    def as_constant(self) -> Fraction | None:
+    def as_constant(self) -> Rational | None:
         """This polynomial as a rational if it has no marker, else None."""
         if not self._terms:
-            return Fraction(0)
+            return 0
         if len(self._terms) == 1 and _ZERO_EXP in self._terms:
             return self._terms[_ZERO_EXP]
         return None
 
-    def single_term(self) -> tuple[Exponents, Fraction] | None:
+    def single_term(self) -> tuple[Exponents, Rational] | None:
         """The (exponents, coeff) pair if this polynomial is one monomial."""
         if len(self._terms) == 1:
             return next(iter(self._terms.items()))
         return None
 
     def has_integer_coeffs(self) -> bool:
-        return all(c.denominator == 1 for c in self._terms.values())
+        return all(type(c) is int for c in self._terms.values())
 
     def has_nonnegative_coeffs(self) -> bool:
         return all(c > 0 for c in self._terms.values())
@@ -172,7 +181,7 @@ class MultiPoly:
             else:
                 s = s + c
                 if s:
-                    terms[e] = s
+                    terms[e] = _as_rational(s)
                 else:
                     del terms[e]
         return _poly_from_clean(terms)
@@ -202,7 +211,7 @@ class MultiPoly:
         sc = self.as_constant()
         if sc is not None:
             return o.scale(sc)
-        terms: dict[Exponents, Fraction] = {}
+        terms: dict[Exponents, Rational] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in o._terms.items():
                 e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
@@ -215,15 +224,22 @@ class MultiPoly:
                         terms[e] = s
                     else:
                         del terms[e]
+        if not (self.has_integer_coeffs() and o.has_integer_coeffs()):
+            terms = {e: _as_rational(c) for e, c in terms.items()}
         return _poly_from_clean(terms)
 
     __rmul__ = __mul__
 
     def scale(self, value: Rational) -> "MultiPoly":
-        c = _as_fraction(value)
+        c = _as_rational(value)
         if not c:
             return _POLY_ZERO
-        return _poly_from_clean({e: k * c for e, k in self._terms.items()})
+        if c == 1:
+            return self
+        terms = {e: k * c for e, k in self._terms.items()}
+        if type(c) is not int or not self.has_integer_coeffs():
+            terms = {e: _as_rational(k) for e, k in terms.items()}
+        return _poly_from_clean(terms)
 
     def __pow__(self, exponent: int) -> "MultiPoly":
         if exponent < 0:
@@ -250,14 +266,14 @@ class MultiPoly:
                 f"divisor {divisor} is not a single monomial"
             )
         (de, dc) = single
-        terms: dict[Exponents, Fraction] = {}
+        terms: dict[Exponents, Rational] = {}
         for e, c in self._terms.items():
             ne = (e[0] - de[0], e[1] - de[1], e[2] - de[2])
             if ne[0] < 0 or ne[1] < 0 or ne[2] < 0:
                 raise NonInvertibleConstantTerm(
                     f"term with exponents {e} is not divisible by {divisor}"
                 )
-            terms[ne] = c / dc
+            terms[ne] = _as_rational(Fraction(c, dc))
         return _poly_from_clean(terms)
 
     # -- substitution ------------------------------------------------------
@@ -346,23 +362,24 @@ class MultiPoly:
 
     @classmethod
     def from_json_obj(cls, data: Iterable[Mapping]) -> "MultiPoly":
-        terms: dict[Exponents, Fraction] = {}
+        terms: dict[Exponents, Rational] = {}
         for term in data:
             exponents = term.get("exponents", {})
             e = tuple(int(exponents.get(name, 0)) for name in MARKERS)
-            terms[e] = terms.get(e, Fraction(0)) + Fraction(str(term["coeff"]))  # type: ignore[index]
+            terms[e] = terms.get(e, 0) + Fraction(str(term["coeff"]))  # type: ignore[index]
         return cls(terms)
 
 
-def _poly_from_clean(terms: dict[Exponents, Fraction]) -> MultiPoly:
-    """Build a MultiPoly from an already-clean term dict (internal)."""
+def _poly_from_clean(terms: dict[Exponents, Rational]) -> MultiPoly:
+    """Build a MultiPoly from an already-clean term dict: nonzero,
+    canonical coefficients (internal)."""
     poly = object.__new__(MultiPoly)
     object.__setattr__(poly, "_terms", terms)
     return poly
 
 
 _POLY_ZERO = _poly_from_clean({})
-_POLY_ONE = _poly_from_clean({_ZERO_EXP: Fraction(1)})
+_POLY_ONE = _poly_from_clean({_ZERO_EXP: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +553,7 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def scale(self, value: Rational) -> "TruncatedSeries":
-        c = _as_fraction(value)
+        c = _as_rational(value)
         return TruncatedSeries([p.scale(c) for p in self._coeffs])
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
@@ -600,10 +617,10 @@ def series_div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
     b = den.truncate(n).coeffs
     c0 = b[0]
     const = c0.as_constant()
-    monomial = None
     if const is not None:
         if not const:
             raise NonInvertibleConstantTerm("divisor has zero constant term")
+        inverse = _as_rational(Fraction(1, const))
     else:
         monomial = c0.single_term()
         if monomial is None:
@@ -618,7 +635,7 @@ def series_div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
                 continue
             acc = acc - b[j] * out[k - j]
         if const is not None:
-            out.append(acc.scale(1 / const))
+            out.append(acc.scale(inverse))
         else:
             out.append(acc.divide_exact(c0))
     return TruncatedSeries(out)
@@ -651,7 +668,7 @@ def solve_quadratic(
             f"leading coefficient b(0) = {b.coefficient(0)} is not a nonzero rational"
         )
     a0, c0 = a.coefficient(0), c.coefficient(0)
-    f0 = c0.scale(1 / b0)
+    f0 = c0.scale(Fraction(1, b0))
     if not (a0 * f0 * f0 - f0.scale(b0) + c0).is_zero():
         raise NoSeriesSolution(
             "F(0) = c(0)/b(0) does not satisfy the quadratic at order 0"
@@ -727,9 +744,9 @@ def catalan_series(order: int) -> TruncatedSeries:
     numerator = TruncatedSeries.one(order + 1) - series_sqrt(radicand)
     by_radical = numerator.shift_down(1).scale(Fraction(1, 2))
 
-    values = [Fraction(1)]
+    values = [1]
     for n in range(1, order):
-        values.append(sum((values[i] * values[n - 1 - i] for i in range(n)), Fraction(0)))
+        values.append(sum(values[i] * values[n - 1 - i] for i in range(n)))
     by_recurrence = TruncatedSeries([MultiPoly.const(v) for v in values])
 
     assert by_radical == by_recurrence, "catalan series cross-check failed"

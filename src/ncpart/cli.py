@@ -213,10 +213,9 @@ def _output(args: argparse.Namespace, lines: Sequence[str], obj: object) -> None
 
 def _poly_total(poly: MultiPoly) -> int:
     """d/dq at q=1 of a one-marker distribution polynomial."""
-    total = Fraction(0)
-    for exps, coeff in poly.items():
-        total += coeff * exps[0]
-    assert total.denominator == 1
+    total = sum(coeff * exps[0] for exps, coeff in poly.items())
+    if total.denominator != 1:
+        raise AssertionError(f"occurrence total {total} of {poly} is not an integer")
     return int(total)
 
 
@@ -486,7 +485,7 @@ def _groups_table1(order: int, mutation: MutationSlot | None = None) -> list[dic
     return cells
 
 
-_Q_MONO = MultiPoly({(1, 0, 0): Fraction(1)})
+_Q_MONO = MultiPoly.marker("q")
 
 
 def _groups_joint(order: int) -> list[dict]:
@@ -506,9 +505,9 @@ def _groups_joint(order: int) -> list[dict]:
         )
     for m in (1, 2, 3, 4):
         run_side = formulas.gf_joint_1a_1b2(m, 1, order).substitute(
-            q=Fraction(1), p=_Q_MONO
+            q=1, p=_Q_MONO
         )
-        ascent_side = formulas.gf_joint_1a_1b2(1, m, order).substitute(p=Fraction(1))
+        ascent_side = formulas.gf_joint_1a_1b2(1, m, order).substitute(p=1)
         cells.append(
             _zero_cell(
                 {"m": m, "check": "specialize-to-run"},

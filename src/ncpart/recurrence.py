@@ -42,32 +42,29 @@ __all__ = [
 
 class StaircaseRecurrence:
     """Memoized evaluator of the refined recurrence for the pattern
-    1 2 ... (m-1) m^a.
+    1 2 ... (m-1) m^a."""
 
-    ``clamp`` controls whether the prefix-progress parameter is capped at
-    m in memo keys.  Only the last m - 1 prepended letters can ever take
-    part in an occurrence (the equal tail must come from the partition
-    itself), so all states with shift >= m - 1 coincide; capping at m is
-    therefore sound, and the uncapped mode exists to let tests verify
-    that claim rather than assume it.
-    """
+    __slots__ = ("m", "a", "_totals", "_cells")
 
-    __slots__ = ("m", "a", "clamp", "_totals", "_cells")
-
-    def __init__(self, m: int, a: int, *, clamp: bool = True) -> None:
+    def __init__(self, m: int, a: int) -> None:
         StaircaseTail(m, a)  # validates m >= 2, a >= 2
         self.m = m
         self.a = a
-        self.clamp = clamp
         self._totals: dict[tuple[int, int], MultiPoly] = {}
         self._cells: dict[tuple[int, int, int], MultiPoly] = {}
 
     # -- state validation ----------------------------------------------------
 
     def _norm_shift(self, shift: int) -> int:
+        """The memo-key form of ``shift``, capped at m.
+
+        Only the last m - 1 prepended letters can ever take part in an
+        occurrence (the equal tail must come from the partition itself),
+        so all states with shift >= m - 1 coincide and the cap is sound.
+        """
         if shift < 0:
             raise IndexOutOfRange(f"shift must be >= 0, got {shift}")
-        return min(shift, self.m) if self.clamp else shift
+        return min(shift, self.m)
 
     def _check_cell_index(self, n: int, r: int) -> None:
         if n < self.a:

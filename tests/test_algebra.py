@@ -31,6 +31,15 @@ P = MultiPoly.marker("p")
 V = MultiPoly.marker("v")
 
 
+def _is_canonical(poly):
+    """Every stored coefficient is a nonzero int, or a Fraction that is
+    not integral; never a bool or a float."""
+    return all(
+        c and (type(c) is int or (type(c) is Fraction and c.denominator > 1))
+        for _, c in poly.items()
+    )
+
+
 # ---------------------------------------------------------------------------
 # MultiPoly
 # ---------------------------------------------------------------------------
@@ -62,6 +71,29 @@ def test_rational_coefficients_stay_exact():
     assert half + third == MultiPoly.const(Fraction(5, 6))
     assert half * third == MultiPoly.const(Fraction(1, 6))
     assert (half * Q + third * Q).scale(6) == Q.scale(5)
+
+
+def test_coefficients_are_ints_until_non_integral():
+    half = MultiPoly.const(Fraction(1, 2))
+    assert half.as_constant() == Fraction(1, 2)
+    assert type(half.scale(2).as_constant()) is int
+    assert type((half + half).as_constant()) is int
+    assert type((half * 2).as_constant()) is int
+    assert _is_canonical(Q.scale(Fraction(1, 2)) + Q.scale(Fraction(3, 2)))
+    assert type(MultiPoly.const(Fraction(6, 3)).as_constant()) is int
+    assert type(MultiPoly.const(True).as_constant()) is int
+    assert type(MultiPoly.zero().as_constant()) is int
+
+
+def test_floats_are_rejected():
+    with pytest.raises(TypeError):
+        MultiPoly.const(0.5)
+    with pytest.raises(TypeError):
+        Q.scale(0.5)
+    with pytest.raises(TypeError):
+        MultiPoly({(1, 0, 0): 0.5})
+    with pytest.raises(TypeError):
+        TruncatedSeries.one(3).scale(0.5)
 
 
 def test_substitute():
@@ -147,6 +179,32 @@ def test_series_div_requires_invertible_or_monomial():
     # ... but an inexact step raises
     with pytest.raises(NonInvertibleConstantTerm):
         series_div(one, q_series)
+
+
+def test_series_div_by_a_non_unit_constant_is_exact():
+    # 1/(3 - x) = sum_k x^k / 3^(k+1)
+    order = 8
+    den = TruncatedSeries.from_x_poly({0: 3, 1: -1}, order)
+    quotient = series_div(TruncatedSeries.one(order), den)
+    for k, coeff in enumerate(quotient.coeffs):
+        assert coeff.as_constant() == Fraction(1, 3 ** (k + 1))
+    assert quotient * den == TruncatedSeries.one(order)
+    # An integral quotient comes back in ints.
+    assert series_div(den.scale(5), den) == TruncatedSeries.constant(5, order)
+    assert all(_is_canonical(c) for c in series_div(den.scale(5), den).coeffs)
+
+
+def test_solve_quadratic_with_a_non_unit_leading_coefficient():
+    # x*F^2 - 2F + 1 = 0 gives F = C(x/4)/2: the coefficient of x^n is
+    # C_n / (2 * 4^n), and F(0) = 1/2.
+    order = 10
+    x = TruncatedSeries.from_x_poly({1: 1}, order)
+    two = TruncatedSeries.constant(2, order)
+    one = TruncatedSeries.one(order)
+    solution = solve_quadratic(x, two, one)
+    for n, coeff in enumerate(solution.coeffs):
+        assert coeff.as_constant() == Fraction(catalan(n), 2 * 4**n)
+    assert (x * solution * solution - two * solution + one).is_zero()
 
 
 def test_series_sqrt_inverts_squaring():
@@ -266,3 +324,82 @@ def test_series_str():
 
 def test_default_order_cap():
     assert DEFAULT_ORDER == 24
+
+
+# ---------------------------------------------------------------------------
+# Canonical storage and an independent check of the arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _evaluate(poly, point):
+    """poly at the rational point (q, p, v), in plain Fraction arithmetic."""
+    total = Fraction(0)
+    for exps, coeff in poly.items():
+        term = Fraction(coeff)
+        for value, e in zip(point, exps):
+            term *= value**e
+        total += term
+    return total
+
+
+# Integral values appear both as ints and as Fractions with denominator 1.
+rationals = st.one_of(
+    st.integers(-6, 6), st.fractions(-6, 6, max_denominator=4)
+)
+exponent_triples = st.tuples(
+    st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)
+)
+polys = st.dictionaries(exponent_triples, rationals, max_size=4).map(MultiPoly)
+points = st.tuples(*[st.fractions(-3, 3, max_denominator=5)] * 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, polys, rationals, st.integers(0, 3), exponent_triples, rationals)
+def test_polynomial_operations_store_canonical_coefficients(
+    a, b, r, k, exps, mono_coeff
+):
+    results = [a, a + b, a - b, a * b, -a, a**k, a.scale(r), a + r, a * r]
+    if mono_coeff:
+        mono = MultiPoly({exps: mono_coeff})
+        product = a * mono
+        assert product.divide_exact(mono) == a
+        results += [product, product.divide_exact(mono)]
+    results.append(a.substitute(q=r, p=b))
+    results.append(MultiPoly.from_json_obj(a.to_json_obj()))
+    for result in results:
+        assert _is_canonical(result), result
+
+
+# Series with a rational (possibly non-integral) polynomial per coefficient.
+series_terms = st.dictionaries(st.integers(1, 6), polys, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 7),
+    series_terms,
+    series_terms,
+    rationals.filter(bool),
+    st.dictionaries(st.integers(0, 6), polys, max_size=3),
+)
+def test_series_operations_store_canonical_coefficients(
+    order, a_terms, b_terms, b0, c_terms
+):
+    a = TruncatedSeries.from_x_poly(a_terms, order)
+    b = TruncatedSeries.from_x_poly({0: b0, **b_terms}, order)
+    c = TruncatedSeries.from_x_poly(c_terms, order)
+    unit = TruncatedSeries.from_x_poly({0: 1, **a_terms}, order)
+    results = [series_div(c, b), series_sqrt(unit), solve_quadratic(a, b, c)]
+    for result in results:
+        for coeff in result.coeffs:
+            assert _is_canonical(coeff), coeff
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys, polys, rationals, points)
+def test_arithmetic_matches_evaluation_at_rational_points(a, b, r, point):
+    va, vb = _evaluate(a, point), _evaluate(b, point)
+    assert _evaluate(a * b, point) == va * vb
+    assert _evaluate(a + b, point) == va + vb
+    assert _evaluate(a - b, point) == va - vb
+    assert _evaluate(a.scale(r), point) == va * r

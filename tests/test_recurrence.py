@@ -38,11 +38,19 @@ def test_recurrence_equals_brute_force():
             assert series.coefficient(n) == rows[n], (m, a, n)
 
 
+class _UncappedRecurrence(StaircaseRecurrence):
+    """The recurrence with ``shift`` left uncapped in its memo keys."""
+
+    def _norm_shift(self, shift: int) -> int:
+        super()._norm_shift(shift)  # validates shift >= 0
+        return shift
+
+
 def test_clamped_and_unclamped_tables_agree():
     for m, a in ((2, 2), (3, 2)):
-        assert StaircaseRecurrence(m, a).series(9) == StaircaseRecurrence(
-            m, a, clamp=False
-        ).series(9)
+        uncapped = _UncappedRecurrence(m, a)
+        assert StaircaseRecurrence(m, a).series(9) == uncapped.series(9)
+        assert any(key[-1] > m for key in uncapped._cells), (m, a)
 
 
 def test_cell_anchors():
