@@ -537,18 +537,7 @@ class TruncatedSeries:
         n = min(self.order, other.order)
         a = self._coeffs
         b = other._coeffs
-        zero = MultiPoly.zero()
-        out = []
-        for k in range(n):
-            acc = zero
-            for i in range(k + 1):
-                ai = a[i]
-                bj = b[k - i]
-                if ai.is_zero() or bj.is_zero():
-                    continue
-                acc = acc + ai * bj
-            out.append(acc)
-        return TruncatedSeries(out)
+        return TruncatedSeries([_product_sum({}, a, b, k, 0) for k in range(n)])
 
     __rmul__ = __mul__
 
@@ -602,6 +591,32 @@ class TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
+def _product_sum(
+    terms: dict[Exponents, Rational],
+    a: Sequence[MultiPoly],
+    b: Sequence[MultiPoly],
+    k: int,
+    first: int,
+) -> MultiPoly:
+    """``terms`` plus the sum of a[i] * b[k - i] over first <= i <= k: the
+    x^k coefficient of a convolution.  Every product is summed into the one
+    dict ``terms`` (which this consumes); zero terms are dropped and each
+    coefficient is put in canonical form once, at the end."""
+    get = terms.get
+    for i in range(first, k + 1):
+        p = a[i]._terms
+        q = b[k - i]._terms
+        if not p or not q:
+            continue
+        for (x1, y1, z1), c1 in p.items():
+            for (x2, y2, z2), c2 in q.items():
+                e = (x1 + x2, y1 + y2, z1 + z2)
+                terms[e] = get(e, 0) + c1 * c2
+    return _poly_from_clean(
+        {e: c if type(c) is int else _as_rational(c) for e, c in terms.items() if c}
+    )
+
+
 def series_div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
     """Exact quotient num/den, truncated to the smaller order.
 
@@ -627,13 +642,10 @@ def series_div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
             raise NonInvertibleConstantTerm(
                 f"divisor constant term {c0} is neither a rational nor a monomial"
             )
+    negated = [-c for c in b]
     out: list[MultiPoly] = []
     for k in range(n):
-        acc = a[k]
-        for j in range(1, k + 1):
-            if b[j].is_zero() or out[k - j].is_zero():
-                continue
-            acc = acc - b[j] * out[k - j]
+        acc = _product_sum(dict(a[k]._terms), negated, out, k, 1)
         if const is not None:
             out.append(acc.scale(inverse))
         else:

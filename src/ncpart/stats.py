@@ -55,25 +55,10 @@ __all__ = [
 Letters = tuple[int, ...]
 PatternLike = Union[SubwordPattern, Sequence[int], str]
 PartitionLike = Union[NCPartition, Sequence[int], str]
-Constraints = tuple[tuple[int, int, int], ...]
 
-
-def _pair_constraints(word: Letters) -> Constraints:
-    """All (i, j, sign) order constraints of a pattern word, i < j."""
-    out = []
-    for j in range(1, len(word)):
-        for i in range(j):
-            d = word[i] - word[j]
-            out.append((i, j, (d > 0) - (d < 0)))
-    return tuple(out)
-
-
-def _window_matches(letters: Sequence[int], start: int, pairs: Constraints) -> bool:
-    for i, j, sign in pairs:
-        d = letters[start + i] - letters[start + j]
-        if ((d > 0) - (d < 0)) != sign:
-            return False
-    return True
+#: A pattern's chain links: its positions sorted by (letter, position), as
+#: (position, next position, equal) for each consecutive pair.
+Constraints = tuple[tuple[int, int, bool], ...]
 
 
 #: Distinct patterns whose constraints :func:`count_subword` keeps.
@@ -82,24 +67,36 @@ _PATTERN_CACHE_SIZE = 256
 
 @functools.lru_cache(maxsize=_PATTERN_CACHE_SIZE)
 def _pattern_constraints(tau: Hashable) -> tuple[int, Constraints]:
-    """The length and pair constraints of a pattern, resolved once per
+    """The length and the L - 1 chain links of a pattern, resolved once per
     distinct pattern (keyed by ``core._param_key``); an invalid pattern
-    raises and is not cached."""
+    raises and is not cached.
+
+    A window is order-isomorphic to the pattern when the letters at each
+    link's two positions are equal (``equal``) or strictly increasing
+    (otherwise): the links order the whole window as the word is ordered.
+    They compare letters directly, so the oracle never standardises a
+    window and stays independent of the engines."""
     word = as_pattern(tau).word
-    return len(word), _pair_constraints(word)
+    order = sorted(range(len(word)), key=lambda i: (word[i], i))
+    return len(word), tuple(
+        (i, j, word[i] == word[j]) for i, j in zip(order, order[1:])
+    )
 
 
 def count_subword(pi: PartitionLike, tau: PatternLike) -> int:
     """Number of windows of pi order-isomorphic to the pattern tau."""
     letters = as_ncpartition(pi).letters
-    length, pairs = _pattern_constraints(_param_key(tau))
-    if length > len(letters):
-        return 0
-    return sum(
-        1
-        for start in range(len(letters) - length + 1)
-        if _window_matches(letters, start, pairs)
-    )
+    length, links = _pattern_constraints(_param_key(tau))
+    count = 0
+    for start in range(len(letters) - length + 1):
+        for i, j, equal in links:
+            x = letters[start + i]
+            y = letters[start + j]
+            if (x != y) if equal else (x >= y):
+                break
+        else:
+            count += 1
+    return count
 
 
 def rep(pi: PartitionLike) -> int:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncpart.algebra import (
@@ -389,7 +389,13 @@ def test_series_operations_store_canonical_coefficients(
     b = TruncatedSeries.from_x_poly({0: b0, **b_terms}, order)
     c = TruncatedSeries.from_x_poly(c_terms, order)
     unit = TruncatedSeries.from_x_poly({0: 1, **a_terms}, order)
-    results = [series_div(c, b), series_sqrt(unit), solve_quadratic(a, b, c)]
+    results = [
+        series_div(c, b),
+        series_sqrt(unit),
+        solve_quadratic(a, b, c),
+        a * c,
+        unit * b,
+    ]
     for result in results:
         for coeff in result.coeffs:
             assert _is_canonical(coeff), coeff
@@ -403,3 +409,75 @@ def test_arithmetic_matches_evaluation_at_rational_points(a, b, r, point):
     assert _evaluate(a + b, point) == va + vb
     assert _evaluate(a - b, point) == va - vb
     assert _evaluate(a.scale(r), point) == va * r
+
+
+# The fused convolution kernel of ``TruncatedSeries.__mul__`` and
+# ``series_div``, against a schoolbook built from MultiPoly + and *.
+
+
+def _schoolbook_mul(a, b):
+    n = min(a.order, b.order)
+    out = []
+    for k in range(n):
+        acc = MultiPoly.zero()
+        for i in range(k + 1):
+            acc = acc + a.coeffs[i] * b.coeffs[k - i]
+        out.append(acc)
+    return TruncatedSeries(out)
+
+
+def _schoolbook_div(num, den):
+    n = min(num.order, den.order)
+    head = den.coeffs[0]
+    const = head.as_constant()
+    out = []
+    for k in range(n):
+        acc = num.coeffs[k]
+        for j in range(1, k + 1):
+            acc = acc + (-den.coeffs[j]) * out[k - j]
+        out.append(acc.scale(Fraction(1, const)) if const else acc.divide_exact(head))
+    return TruncatedSeries(out)
+
+
+def _quotient_or_error(divide, num, den):
+    try:
+        return divide(num, den)
+    except NonInvertibleConstantTerm:
+        return NonInvertibleConstantTerm
+
+
+# Constant terms a divisor may have: a nonzero rational, or one monomial
+# with a marker, such as the 2q that gf_1m(1) divides by.
+divisor_heads = st.one_of(
+    rationals.filter(bool).map(MultiPoly.const),
+    st.builds(
+        lambda exps, c: MultiPoly({exps: c}),
+        exponent_triples.filter(any),
+        rationals.filter(bool),
+    ),
+)
+# Sparse series: every missing key, and an empty poly, is a zero coefficient.
+kernel_terms = st.dictionaries(st.integers(0, 6), polys, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 7), kernel_terms, kernel_terms, divisor_heads)
+@example(5, 7, {0: MultiPoly.one(), 2: Q.scale(Fraction(1, 2))}, {1: -Q}, Q.scale(2))
+def test_fused_kernel_matches_the_schoolbook(order_a, order_b, a_terms, b_terms, head):
+    a = TruncatedSeries.from_x_poly(a_terms, order_a)
+    b = TruncatedSeries.from_x_poly(b_terms, order_b)
+    den = TruncatedSeries.from_x_poly({**b_terms, 0: head}, order_b)
+    products = [a * b, b * a, a * den]
+    assert products[0] == products[1] == _schoolbook_mul(a, b)
+    assert products[2] == _schoolbook_mul(a, den)
+    # a * den divides exactly by den, whatever its constant term.
+    quotient = series_div(products[2], den)
+    assert quotient == _schoolbook_div(products[2], den)
+    assert quotient == a.truncate(min(order_a, order_b))
+    # Any other numerator: the same quotient, or the same inexact step.
+    assert _quotient_or_error(series_div, a, den) == _quotient_or_error(
+        _schoolbook_div, a, den
+    )
+    for result in products + [quotient]:
+        for coeff in result.coeffs:
+            assert _is_canonical(coeff), coeff

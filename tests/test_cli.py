@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from ncpart import cli, stats
 from ncpart.cli import build_parser, entry, run_verify_target
+from ncpart.core import RunStaircase, StaircaseTail, as_ncpartition, iter_nc
+from ncpart.stats import count_subword
 
 
 def run_cli(capsys, *args):
@@ -357,6 +359,38 @@ def test_verify_unwritable_out_fails_before_the_suite(capsys, tmp_path, monkeypa
     )
     assert code == 2 and out == ""
     assert err.startswith("error:") and "report.json" in err
+
+
+def test_thm35_catches_a_map_that_breaks_the_exchange(capsys, monkeypatch):
+    # With the identity in place of the involution, each (a, m) pair must
+    # count its own broken partitions, however the sweep is shared.
+    monkeypatch.setattr(cli, "map_descent_code", as_ncpartition)
+    report = run_verify_target("thm3.5", 9)
+    assert report["status"] == "fail"
+    exchange = [
+        c for c in report["cells"] if c["params"]["check"] == "code-reversal-exchange"
+    ]
+    assert [(c["params"]["a"], c["params"]["m"]) for c in exchange] == [
+        (2, 2), (2, 3), (3, 2)
+    ]
+    for cell in exchange:
+        a, m = cell["params"]["a"], cell["params"]["m"]
+        first = RunStaircase(a, m).pattern()
+        second = StaircaseTail(m, a).pattern()
+        broken = sum(
+            count_subword(pi, first) != count_subword(pi, second)
+            for n in range(1, 9)
+            for pi in iter_nc(n)
+        )
+        assert cell["status"] == "fail"
+        assert cell["actual"] == broken > 0
+    assert all(
+        c["status"] == "pass"
+        for c in report["cells"]
+        if c["params"]["check"] == "equidistribution"
+    )
+    assert entry(["verify", "--target", "thm3.5", "--order", "9"]) == 1
+    assert "target thm3.5: FAIL" in capsys.readouterr().out
 
 
 def test_verify_checks_every_coefficient_below_the_order():

@@ -4,11 +4,18 @@ engine and by the exhaustive prefix walk."""
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncpart.algebra import MultiPoly
-from ncpart.core import SubwordPattern, catalan, enumerate_nc, parse_sequence
+from ncpart import core
+from ncpart.core import (
+    SubwordPattern,
+    catalan,
+    enumerate_nc,
+    is_canonical_nc,
+    parse_sequence,
+)
 from ncpart.errors import EmptyPartition, InvalidPattern, LimitExceeded
 from ncpart import stats
 from ncpart.stats import (
@@ -89,6 +96,92 @@ def test_count_subword_matches_naive_window_scan(n, tau):
     word = tuple(int(c) for c in tau)
     for pi in enumerate_nc(n):
         assert count_subword(pi, tau) == naive_count(pi.letters, word)
+
+
+# The pairwise-sign definition of order-isomorphism, the oracle's reference:
+# a window matches when every pair of its positions compares as in the word.
+
+
+def _pair_constraints(word):
+    """All (i, j, sign) order constraints of a pattern word, i < j."""
+    out = []
+    for j in range(1, len(word)):
+        for i in range(j):
+            d = word[i] - word[j]
+            out.append((i, j, (d > 0) - (d < 0)))
+    return tuple(out)
+
+
+def _window_matches(letters, start, pairs):
+    for i, j, sign in pairs:
+        d = letters[start + i] - letters[start + j]
+        if ((d > 0) - (d < 0)) != sign:
+            return False
+    return True
+
+
+def pairwise_count(letters, word):
+    pairs = _pair_constraints(word)
+    return sum(
+        1
+        for start in range(len(letters) - len(word) + 1)
+        if _window_matches(letters, start, pairs)
+    )
+
+
+@st.composite
+def _nc_words(draw):
+    """Canonical non-crossing words of length <= 12, grown like the prefix
+    walk: each letter is a fresh one or an open one, and an open letter
+    closes every open letter above it."""
+    letters: list[int] = []
+    stack: list[int] = []
+    for _ in range(draw(st.integers(0, 12))):
+        idx = draw(st.integers(0, len(stack)))
+        if idx == len(stack):
+            stack.append(max(letters, default=0) + 1)
+        else:
+            del stack[idx + 1 :]
+        letters.append(stack[idx])
+    return tuple(letters)
+
+
+def _as_pattern_word(values):
+    ranks = {v: r for r, v in enumerate(sorted(set(values)), 1)}
+    return tuple(ranks[v] for v in values)
+
+
+#: Patterns of length 1-6 over at most four letters, so most repeat one.
+_pattern_words = st.lists(st.integers(1, 4), min_size=1, max_size=6).map(
+    _as_pattern_word
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nc_words(), _pattern_words)
+@example((1, 2), (1, 2, 2))  # a pattern longer than the word
+@example((1, 2, 1, 3, 3, 1, 1), (1, 2, 1))
+def test_count_subword_matches_the_pairwise_sign_definition(letters, word):
+    assert is_canonical_nc(letters)
+    assert count_subword(letters, word) == pairwise_count(letters, word)
+
+
+def test_count_subword_never_standardises(monkeypatch):
+    # The oracle checks the engines, which standardise windows; it must
+    # reach its counts another way.
+    def forbidden(window):
+        raise AssertionError(f"count_subword standardised {window!r}")
+
+    monkeypatch.setattr(core, "_standardise", forbidden)
+    monkeypatch.setattr(stats, "_standardise", forbidden)
+    stats._pattern_constraints.cache_clear()
+    assert count_subword("1213311", "121") == 1
+    assert count_subword("1213311", "11") == 2
+    assert count_subword("12341", "231") == 1
+    assert count_subword("12331", "231") == 0
+    assert count_subword("123321", "1221") == 1
+    assert count_subword("11", "111") == 0
+    assert count_subword("1234", "1") == 4
 
 
 def test_rep_smallest_repeated_letter():
