@@ -14,7 +14,7 @@ degree-2 cases.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 from .errors import (
     ConstantTermNotOne,
@@ -45,6 +45,7 @@ DEFAULT_ORDER = 24
 Exponents = tuple[int, int, int]
 Rational = Union[int, Fraction]
 PolyLike = Union["MultiPoly", int, Fraction]
+_Ring = TypeVar("_Ring", "MultiPoly", "TruncatedSeries")
 
 _ZERO_EXP: Exponents = (0, 0, 0)
 
@@ -211,22 +212,7 @@ class MultiPoly:
         sc = self.as_constant()
         if sc is not None:
             return o.scale(sc)
-        terms: dict[Exponents, Rational] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in o._terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                s = terms.get(e)
-                if s is None:
-                    terms[e] = c1 * c2
-                else:
-                    s = s + c1 * c2
-                    if s:
-                        terms[e] = s
-                    else:
-                        del terms[e]
-        if not (self.has_integer_coeffs() and o.has_integer_coeffs()):
-            terms = {e: _as_rational(c) for e, c in terms.items()}
-        return _poly_from_clean(terms)
+        return _product_sum({}, (self,), (o,), 0, 0)
 
     __rmul__ = __mul__
 
@@ -242,17 +228,7 @@ class MultiPoly:
         return _poly_from_clean(terms)
 
     def __pow__(self, exponent: int) -> "MultiPoly":
-        if exponent < 0:
-            raise ValueError("negative polynomial power")
-        result = _POLY_ONE
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, exponent, _POLY_ONE)
 
     def divide_exact(self, divisor: "MultiPoly") -> "MultiPoly":
         """Divide by a single-monomial divisor, requiring exactness.
@@ -546,17 +522,7 @@ class TruncatedSeries:
         return TruncatedSeries([p.scale(c) for p in self._coeffs])
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
-        if exponent < 0:
-            raise ValueError("negative series power")
-        result = TruncatedSeries.one(self.order)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, exponent, TruncatedSeries.one(self.order))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -601,7 +567,10 @@ def _product_sum(
     """``terms`` plus the sum of a[i] * b[k - i] over first <= i <= k: the
     x^k coefficient of a convolution.  Every product is summed into the one
     dict ``terms`` (which this consumes); zero terms are dropped and each
-    coefficient is put in canonical form once, at the end."""
+    coefficient is put in canonical form once, at the end.
+
+    The only code that multiplies term dicts: a polynomial product is the
+    case ``k = 0`` with one-element sequences."""
     get = terms.get
     for i in range(first, k + 1):
         p = a[i]._terms
@@ -615,6 +584,20 @@ def _product_sum(
     return _poly_from_clean(
         {e: c if type(c) is int else _as_rational(c) for e, c in terms.items() if c}
     )
+
+
+def _power(base: _Ring, exponent: int, one: _Ring) -> _Ring:
+    """``base ** exponent`` by repeated squaring, starting from ``one``."""
+    if exponent < 0:
+        raise ValueError(f"negative power {exponent}")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
 
 
 def series_div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:

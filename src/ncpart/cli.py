@@ -557,9 +557,7 @@ def _groups_rho_tail(order: int) -> list[dict]:
 def _groups_sandwich(order: int) -> list[dict]:
     cells = []
     for tau in ("121", "1121", "1211", "1221", "1231"):
-        fam = classify_pattern(tau)
-        assert isinstance(fam, Sandwich)
-        series = formulas.gf_1a_rho_1b(fam.a, fam.rho, fam.b, order)
+        series = formulas.closed_series(classify_pattern(tau), order)
         rows = stats.distribution_rows(order - 1, tau)
         cells += _compare({"pattern": tau, "check": "coefficient"}, rows, series.coeffs)
     for a, rho, b in ((2, "1", 1), (3, "1", 1), (2, "11", 1), (2, "12", 1)):
@@ -926,6 +924,9 @@ def entry(argv: Sequence[str] | None = None) -> int:
         return _HANDLERS[args.subcommand](_checked(args))
     except (NcpartError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

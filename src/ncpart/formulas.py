@@ -279,7 +279,7 @@ def gf_staircase_joint_rep(
     evaluated directly.
     """
     StaircaseTail(m, a)
-    v = v_value if isinstance(v_value, Fraction) else Fraction(v_value)
+    v = Fraction(v_value)
     q = _q()
     one = MultiPoly.one()
     y = gf_staircase_tail(m, a, order)
@@ -334,11 +334,10 @@ def gf_staircase_joint_rep(
             one_minus_x.scale(v ** m) - one_minus_vx
         ) * y_minus_one * inv_pair
         g2 = bracket_num.shift_up(a + m - 2) * (one - q)
-        g2 = g2.scale(Fraction(1, 1) / (1 - v))
-        g3 = (y_minus_one * axx).scale(Fraction(1, 1) / (1 - v))
-        bracket = g1 + g2 + g3 - mid_sum(
-            TruncatedSeries.from_x_poly({1: v}, order), Fraction(1)
-        ) + low_sum(TruncatedSeries.from_x_poly({1: v}, order))
+        g2 = g2.scale(1 / (1 - v))
+        g3 = (y_minus_one * axx).scale(1 / (1 - v))
+        vx = TruncatedSeries.from_x_poly({1: v}, order)
+        bracket = g1 + g2 + g3 - mid_sum(vx, Fraction(1)) + low_sum(vx)
         avx = series_div(
             bracket, y - TruncatedSeries.constant(v, order)
         ).scale(1 - v)
@@ -352,18 +351,12 @@ def gf_staircase_joint_rep(
     )
 
     corrections: dict[int, Fraction] = {}
-    for n in range(2, min(a, order)):
+    for n in range(2, order):
         total = Fraction(0)
-        for j in range(1, n + 1):
-            total += (v ** j) * (catalan(n - j + 1) - catalan(n - j))
-        if total:
-            corrections[n] = total
-    for n in range(a, order):
-        total = Fraction(0)
-        for k in range(n - a + 2, n + 1):
+        for k in range(max(1, n - a + 2), n + 1):
             total += (v ** k) * (catalan(n - k + 1) - catalan(n - k))
         if total:
-            corrections[n] = corrections.get(n, Fraction(0)) + total
+            corrections[n] = total
 
     # 1/(1 - x) is the all-ones series.
     result = folded + TruncatedSeries([1] * order) + TruncatedSeries.from_x_poly(

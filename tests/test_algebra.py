@@ -412,7 +412,9 @@ def test_arithmetic_matches_evaluation_at_rational_points(a, b, r, point):
 
 
 # The fused convolution kernel of ``TruncatedSeries.__mul__`` and
-# ``series_div``, against a schoolbook built from MultiPoly + and *.
+# ``series_div``, against a schoolbook built from MultiPoly + and *.  The
+# kernel also serves MultiPoly *, so the term-dict product itself is
+# checked independently above, by evaluation at rational points.
 
 
 def _schoolbook_mul(a, b):
@@ -481,3 +483,23 @@ def test_fused_kernel_matches_the_schoolbook(order_a, order_b, a_terms, b_terms,
     for result in products + [quotient]:
         for coeff in result.coeffs:
             assert _is_canonical(coeff), coeff
+
+
+# ``**`` on both rings against the repeated product it abbreviates.
+power_series = st.builds(
+    TruncatedSeries.from_x_poly,
+    st.dictionaries(st.integers(0, 4), polys, max_size=3),
+    st.integers(1, 5),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, power_series, st.integers(0, 5), st.integers(-3, -1))
+def test_power_is_the_repeated_product(poly, series, k, negative):
+    for x, one in ((poly, MultiPoly.one()), (series, TruncatedSeries.one(series.order))):
+        product = one
+        for _ in range(k):
+            product = product * x
+        assert x**k == product
+        with pytest.raises(ValueError):
+            x**negative

@@ -112,6 +112,20 @@ def test_dist_rejects_recurrence_outside_staircase_tail(capsys):
     assert "applicable methods" in err
 
 
+def test_dist_out_of_memory_is_a_clean_error(capsys, monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError
+
+    # The engine table holds the walk function itself, so patch the entry.
+    monkeypatch.setitem(stats._ENGINES, "brute", out_of_memory)
+    code, out, err = run_cli(
+        capsys, "dist", "--pattern", "123214566578", "--n", "14", "--method", "brute"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "memory" in err
+    assert "Traceback" not in err
+
+
 def test_series_family_flags(capsys):
     code, out, _ = run_cli(
         capsys,

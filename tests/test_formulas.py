@@ -134,12 +134,19 @@ def test_joint_specializes_to_single_pattern_series():
 # ---------------------------------------------------------------------------
 
 
-def test_gf_staircase_joint_rep_matches_brute():
-    rows = rep_joint_rows(8, "122")
-    for v in (Fraction(0), Fraction(2), Fraction(1, 2), Fraction(-1, 3)):
-        series = gf_staircase_joint_rep(2, 2, 9, v_value=v)
-        for n in range(9):
-            assert series.coefficient(n) == rows[n].substitute(v=v), (v, n)
+# a >= 3 reaches the corrections at n < a and the mid sums, which (2, 2)
+# does not; the CLI serves every such (m, a, v) through ``series --v``.
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("a", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "v", [Fraction(0), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(-1, 3)]
+)
+def test_gf_staircase_joint_rep_matches_brute(m, a, v):
+    order = 12
+    rows = rep_joint_rows(order - 1, StaircaseTail(m, a).pattern())
+    series = gf_staircase_joint_rep(m, a, order, v_value=v)
+    for n in range(order):
+        assert series.coefficient(n) == rows[n].substitute(v=v), n
 
 
 def test_gf_staircase_joint_rep_collapses_at_one():
