@@ -1,7 +1,7 @@
 """Constructive bijections on non-crossing partitions that exchange
 subword-pattern statistics.
 
-Four maps are provided, each validated aggressively at runtime (every
+Five maps are provided, each validated aggressively at runtime (every
 structural claim the constructions rely on is asserted, and every
 produced word is re-validated as a canonical non-crossing sequence, in
 one linear pass).  A map resolves its parameters (parsing, family
@@ -24,6 +24,9 @@ call.
 * :func:`map_descent_code` — an involution that reverses each section's
   ascent/plateau code between descents, exchanging occurrences of
   1^a 2 3 ... m and 1 2 ... (m-1) m^a for all a, m >= 2 at once.
+
+:func:`map_g` and :func:`map_runrev` share one kernel, :func:`_reverse_runs`,
+which reverses the run lengths inside the strings each map parses.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Hashable
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .core import (
     Letters,
@@ -103,22 +106,16 @@ def _coerce_rho_tail(value: Union[RhoTail, PatternLike]) -> RhoTail:
 
 @functools.lru_cache(maxsize=_PARAM_CACHE_SIZE)
 def _exchange_words(tau: Hashable, tau2: Hashable) -> tuple[Letters, Letters]:
-    """The two validated pattern words :func:`map_f` exchanges.  A word of
-    the shape (rho+1)1 determines its family, so equal words mean equal
-    families."""
-    fam1 = _coerce_rho_tail(tau)
-    fam2 = _coerce_rho_tail(tau2)
-    if fam1.b != 1 or fam2.b != 1:
+    """The two validated pattern words :func:`map_f` exchanges: the pair
+    checks of :func:`_equiv_plan`, with neither pattern needing a
+    reduction.  A word of the shape (rho+1)1 determines its family, so
+    equal words mean equal families."""
+    _, lift1, reduced1, reduced2, lift2 = _equiv_plan(tau, tau2)
+    if lift1 is not None or lift2 is not None:
         raise FamilyViolation(
             "the window exchange needs trailing-run length 1 on both patterns"
         )
-    word1 = fam1.pattern().word
-    word2 = fam2.pattern().word
-    if len(word1) != len(word2):
-        raise PatternLengthMismatch(
-            f"patterns have different lengths: {len(word1)} != {len(word2)}"
-        )
-    return word1, word2
+    return reduced1.pattern().word, reduced2.pattern().word
 
 
 def _scan_strings(
@@ -257,6 +254,50 @@ def map_f(
 
 
 # ---------------------------------------------------------------------------
+# Run reversal inside maximal strings: the kernel of map_g and map_runrev
+# ---------------------------------------------------------------------------
+
+#: One link of a string: its letter, that letter's run length, and the
+#: block that follows the run (empty for a trailing run).
+Link = tuple[int, int, Letters]
+
+
+def _reverse_runs(
+    w: Sequence[int],
+    parse: Callable[..., tuple[int, list[Link]] | None],
+    *params: object,
+) -> NCPartition:
+    """Reverse the run lengths inside every string ``parse`` finds.
+
+    ``parse(w, p, *params)`` returns None when no string starts at p,
+    else ``(end, links)`` for the string on [p, end).  Scanning left to
+    right, each string is rewritten with its letters and blocks in place
+    and its run lengths reversed.  Asserted: a string that does not start
+    where the previous one ended starts run-maximally on the left, and
+    its links span it exactly; the result is re-validated in full."""
+    out = list(w)
+    p = 0
+    prev_end = 0
+    while p < len(w):
+        found = parse(w, p, *params)
+        if found is None:
+            p += 1
+            continue
+        end, links = found
+        if p > prev_end and w[p - 1] == w[p]:
+            raise AssertionError("string start is not run-maximal on the left")
+        seq: list[int] = []
+        for (letter, _, block), (_, run, _) in zip(links, reversed(links)):
+            seq.extend([letter] * run)
+            seq.extend(block)
+        if len(seq) != end - p:
+            raise AssertionError("run reversal changed the string length")
+        out[p:end] = seq
+        p = prev_end = end
+    return NCPartition(tuple(out))
+
+
+# ---------------------------------------------------------------------------
 # Run-multiplicity reversal inside descending chains
 # ---------------------------------------------------------------------------
 
@@ -288,26 +329,27 @@ def _chain_params(sigma: Hashable) -> tuple[Letters, Letters]:
 
 def _parse_chain(
     w: Sequence[int], p: int, sigma: Letters, target: Letters
-) -> tuple[int, int, list[tuple[int, int, Letters]], tuple[int, int] | None] | None:
+) -> tuple[int, list[Link]] | None:
     """Parse the maximal descending chain starting at position p.
 
     A chain is u_1^{r_1} B_1 u_2^{r_2} B_2 ... u_t^{r_t} B_t u^{r} with
     strictly descending u_i, every (u_i,)+B_i order-isomorphic to
     (2,)+sigma (whose pattern word is target), all run lengths >= 1, and
     a final run of a letter below u_t (absent when the word ends inside a
-    link).  A matched block that would close the chain — the letter after
-    it is not below u — is left outside and the u-run ends the chain
-    instead: no occurrence of
-    either exchanged pattern can use such a block, rebuilding places the
-    block identically either way, and keeping it out of the span lets a
-    chain that genuinely starts inside it be found by a later scan.
-    Returns (start, end, links, trailing) or None when no chain (not
-    even a junction-free stub) starts at p.
+    link); that run is the last link, with an empty block.  A matched
+    block that would close the chain — the letter after it is not below
+    u — is left outside and the u-run ends the chain instead: no
+    occurrence of either exchanged pattern can use such a block,
+    rebuilding places the block identically either way, and keeping it
+    out of the span lets a chain that genuinely starts inside it be found
+    by a later scan.  Returns (end, links), or None when fewer than two
+    links start at p: a single link with nothing below it holds no
+    junction (hence no occurrence of either pattern) and must not consume
+    positions a real chain may start inside.
     """
     n = len(w)
     msig = len(sigma)
-    links: list[tuple[int, int, Letters]] = []
-    trailing: tuple[int, int] | None = None
+    links: list[Link] = []
     pos = p
     while pos < n:
         u = w[pos]
@@ -329,28 +371,12 @@ def _parse_chain(
                 pos = nxt
                 continue
         if links:
-            trailing = (u, run)
+            links.append((u, run, ()))
             pos = after
         break
-    if not links:
+    if len(links) < 2:
         return None
-    return (p, pos, links, trailing)
-
-
-def _rebuild_chain(
-    links: list[tuple[int, int, Letters]], trailing: tuple[int, int] | None
-) -> list[int]:
-    runs = [r for (_, r, _) in links]
-    if trailing is not None:
-        runs.append(trailing[1])
-    rev = runs[::-1]
-    out: list[int] = []
-    for (u, _, block), r in zip(links, rev):
-        out.extend([u] * r)
-        out.extend(block)
-    if trailing is not None:
-        out.extend([trailing[0]] * rev[-1])
-    return out
+    return pos, links
 
 
 def map_g(pi: PartitionLike, sigma: PatternLike, b: int) -> NCPartition:
@@ -365,29 +391,7 @@ def map_g(pi: PartitionLike, sigma: PatternLike, b: int) -> NCPartition:
     if int(b) < 2:
         raise FamilyViolation("the trailing-run length b must be at least 2")
     sig, target = _chain_params(_param_key(sigma))
-    partition = as_ncpartition(pi)
-    w = list(partition.letters)
-    out = list(w)
-    p = 0
-    prev_end = 0
-    while p < len(w):
-        res = _parse_chain(w, p, sig, target)
-        if res is None or (len(res[2]) < 2 and res[3] is None):
-            # No chain here, or a single link with nothing below it: such a
-            # span holds no junction (hence no occurrence of either pattern)
-            # and must not consume positions a real chain may start inside.
-            p += 1
-            continue
-        start, end, links, trailing = res
-        if start > prev_end and w[start - 1] == w[start]:
-            raise AssertionError("chain start is not run-maximal on the left")
-        replacement = _rebuild_chain(links, trailing)
-        if len(replacement) != end - start:
-            raise AssertionError("chain rewrite changed the window length")
-        out[start:end] = replacement
-        p = end
-        prev_end = end
-    return NCPartition(tuple(out))
+    return _reverse_runs(as_ncpartition(pi).letters, _parse_chain, sig, target)
 
 
 def map_equiv(
@@ -450,33 +454,47 @@ def _equiv_plan(
 
 def _parse_runstring(
     w: Sequence[int], p: int, rho_word: Letters
-) -> tuple[int, int, int, list[int], list[Letters]] | None:
+) -> tuple[int, list[Link]] | None:
     """Parse the maximal string x^{i_1} A_1 x^{i_2} ... A_r x^{i_{r+1}}
     starting at p: every A_j order-isomorphic to rho_word with all its
     letters above x, every run length >= 1 including the trailing one,
-    and at least one block.  Returns (start, end, x, runs, blocks)."""
+    and at least one block.  Returns (end, links), the links being
+    (x, i_j, A_j) and finally (x, i_{r+1}, ())."""
     n = len(w)
     m = len(rho_word)
     x = w[p]
-    run = 1
-    while p + run < n and w[p + run] == x:
-        run += 1
-    runs = [run]
-    blocks: list[Letters] = []
-    pos = p + run
-    while pos + m < n:
-        block = tuple(w[pos : pos + m])
-        if _std(block) != rho_word or min(block) <= x or w[pos + m] != x:
+    links: list[Link] = []
+    pos = p
+    while True:
+        run = 1
+        while pos + run < n and w[pos + run] == x:
+            run += 1
+        pos += run
+        if pos + m >= n or w[pos + m] != x:
             break
-        tail = 1
-        while pos + m + tail < n and w[pos + m + tail] == x:
-            tail += 1
-        blocks.append(block)
-        runs.append(tail)
-        pos = pos + m + tail
-    if not blocks:
+        block = tuple(w[pos : pos + m])
+        if _std(block) != rho_word or min(block) <= x:
+            break
+        links.append((x, run, block))
+        pos += m
+    if not links:
         return None
-    return (p, pos, x, runs, blocks)
+    links.append((x, run, ()))
+    return pos, links
+
+
+def _maximal_runstring(
+    w: Sequence[int], p: int, rho_word: Letters
+) -> tuple[int, list[Link]] | None:
+    """:func:`_parse_runstring`, asserting that no string starting inside
+    the one found reaches past its end."""
+    found = _parse_runstring(w, p, rho_word)
+    if found is not None:
+        for q in range(p + 1, found[0]):
+            probe = _parse_runstring(w, q, rho_word)
+            if probe is not None and probe[0] > found[0]:
+                raise AssertionError("maximal run strings are not disjoint")
+    return found
 
 
 @functools.lru_cache(maxsize=_PARAM_CACHE_SIZE)
@@ -495,34 +513,11 @@ def map_runrev(
     run-length vector is reversed while the blocks stay fixed.
 
     The transformation depends only on rho; a and b name the exchanged
-    statistic pair (any a, b >= 1)."""
+    statistic pair (any a, b >= 1).  A string's trailing run is maximal,
+    so one starting where the previous one ended cannot continue a run:
+    the kernel's left-maximality check covers every string start."""
     rho_word = _runrev_rho(_param_key(rho), a, b)
-    partition = as_ncpartition(pi)
-    w = list(partition.letters)
-    out = list(w)
-    p = 0
-    while p < len(w):
-        res = _parse_runstring(w, p, rho_word)
-        if res is None:
-            p += 1
-            continue
-        start, end, x, runs, blocks = res
-        if start > 0 and w[start - 1] == x:
-            raise AssertionError("string start is not run-maximal on the left")
-        for q in range(start + 1, end):
-            probe = _parse_runstring(w, q, rho_word)
-            if probe is not None and probe[1] > end:
-                raise AssertionError("maximal run strings are not disjoint")
-        rev = runs[::-1]
-        seq = [x] * rev[0]
-        for block, r in zip(blocks, rev[1:]):
-            seq.extend(block)
-            seq.extend([x] * r)
-        if len(seq) != end - start:
-            raise AssertionError("run reversal changed the window length")
-        out[start:end] = seq
-        p = end
-    return NCPartition(tuple(out))
+    return _reverse_runs(as_ncpartition(pi).letters, _maximal_runstring, rho_word)
 
 
 # ---------------------------------------------------------------------------

@@ -231,15 +231,31 @@ def cmd_enum(args: argparse.Namespace) -> int:
     return 0
 
 
+def _v_series(
+    family: PatternFamily, method: str, v: Fraction
+) -> Callable[..., TruncatedSeries]:
+    """The series builder of ``series --v``: the closed staircase-tail
+    series weighting each partition by v^(smallest repeated letter)."""
+    if method != "closed" or not isinstance(family, StaircaseTail):
+        raise ValueError("--v applies only to the closed staircase-tail series")
+    return lambda p, f, k: formulas.gf_staircase_joint_rep(f.m, f.a, k, v_value=v)
+
+
 def cmd_dist(args: argparse.Namespace) -> int:
+    """``dist`` (``--n`` or ``--order``) and ``series`` (``--order``,
+    optionally ``--v``): one pattern's distribution or series."""
     pattern, family = _resolve_pattern(args)
-    _require_method(family, args.method)
-    if (args.n is None) == (args.order is None):
+    n, v = getattr(args, "n", None), getattr(args, "v", None)
+    if v is None:
+        _require_method(family, args.method)
+        build, v_value = _METHODS[args.method][1], {}
+    else:
+        build, v_value = _v_series(family, args.method, v), {"v_value": str(v)}
+    if (n is None) == (args.order is None):
         raise ValueError("give exactly one of --n and --order")
-    build = _METHODS[args.method][1]
-    if args.n is not None:
-        size, key = {"n": args.n}, "distribution"
-        value = build(pattern, family, args.n + 1).coefficient(args.n)
+    if n is not None:
+        size, key = {"n": n}, "distribution"
+        value = build(pattern, family, n + 1).coefficient(n)
     else:
         size, key = {"order": args.order}, "series"
         value = build(pattern, family, args.order)
@@ -247,33 +263,10 @@ def cmd_dist(args: argparse.Namespace) -> int:
         "pattern": format_sequence(pattern.word),
         **size,
         "method": args.method,
+        **v_value,
         key: value.to_json_obj(),
     }
     _output(args, [str(value)], obj)
-    return 0
-
-
-def cmd_series(args: argparse.Namespace) -> int:
-    pattern, family = _resolve_pattern(args)
-    v_value: dict[str, str] = {}
-    if args.v is None:
-        _require_method(family, args.method)
-        series = _METHODS[args.method][1](pattern, family, args.order)
-    elif args.method == "closed" and isinstance(family, StaircaseTail):
-        series = formulas.gf_staircase_joint_rep(
-            family.m, family.a, args.order, v_value=args.v
-        )
-        v_value = {"v_value": str(args.v)}
-    else:
-        raise ValueError("--v applies only to the closed staircase-tail series")
-    obj = {
-        "pattern": format_sequence(pattern.word),
-        "order": args.order,
-        "method": args.method,
-        **v_value,
-        "series": series.to_json_obj(),
-    }
-    _output(args, [str(series)], obj)
     return 0
 
 
@@ -910,7 +903,7 @@ def build_parser() -> argparse.ArgumentParser:
 _HANDLERS: dict[str, Callable[[argparse.Namespace], int]] = {
     "enum": cmd_enum,
     "dist": cmd_dist,
-    "series": cmd_series,
+    "series": cmd_dist,
     "total": cmd_total,
     "verify": cmd_verify,
     "bij": cmd_bij,

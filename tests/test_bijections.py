@@ -1,9 +1,13 @@
 """Occurrence-exchanging bijections on non-crossing partitions."""
 
+import hashlib
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncpart import bijections
 from ncpart.bijections import (
     decode_descent_code,
     descent_code,
@@ -290,6 +294,8 @@ def test_parameter_forms_give_the_same_image(apply, forms):
         (lambda: map_f("121", "211", "221"), FamilyViolation),
         (lambda: map_f("121", [2, 1, 1], "221"), FamilyViolation),
         (lambda: map_f("121", "231", [2, 2, 2, 1]), PatternLengthMismatch),
+        # unequal lengths are reported before a trailing run b != 1
+        (lambda: map_f("121", "211", [2, 1, 1, 1, 1]), PatternLengthMismatch),
         (lambda: map_g("121", "4", 2), FamilyViolation),
         (lambda: map_g("121", [3, 5], 2), FamilyViolation),
         (lambda: map_equiv("121", "112", "122"), FamilyViolation),
@@ -416,3 +422,76 @@ def test_large_partitions_exchange_and_involution(pi):
         p1, p2 = (1,) * a + tuple(range(2, m + 1)), tuple(range(1, m)) + (m,) * a
         assert count_subword(image, p2) == count_subword(pi, p1)
         assert count_subword(image, p1) == count_subword(pi, p2)
+
+
+# ---------------------------------------------------------------------------
+# Exact images, and the run-reversal kernel on its own
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "apply,digest",
+    [
+        (lambda pi: map_f(pi, "231", "221"),
+         "98d6ff52bd66c5979f0ca3ef39aa792d18b90de8109cdfc1cd7faba010841ee1"),
+        (lambda pi: map_f(pi, "2221", "2341"),
+         "bcfedb01989b72daa4a14d09fc9271b5b755e4a2fe308886a4bdf04aa3cb4182"),
+        (lambda pi: map_g(pi, "", 2),
+         "739e8893105b022ce3335c034ea326635171b2cbcda3cb6d4bbe03737ae6dd58"),
+        (lambda pi: map_g(pi, "3", 2),
+         "e8de8dbb57beb8a66a8f95eebc115065d29619ff7f8df3bd3d31356efb435cf3"),
+        (lambda pi: map_equiv(pi, "211", "221"),
+         "739e8893105b022ce3335c034ea326635171b2cbcda3cb6d4bbe03737ae6dd58"),
+        (lambda pi: map_equiv(pi, "211", "231"),
+         "bb2254f29fe81e553c89dcffcd3c99039255e0cd14da017106e8e5cfd5762166"),
+        (lambda pi: map_runrev(pi, 1, "1", 2),
+         "652849176079fc25b9dad4c7eb79d734e9790311a9a75d5c12a64de6bab9f1be"),
+        (lambda pi: map_runrev(pi, 2, "1", 1),
+         "652849176079fc25b9dad4c7eb79d734e9790311a9a75d5c12a64de6bab9f1be"),
+        (map_descent_code,
+         "46c1d7d5732b5c04b70a230c961fced21830aa3a9c8ae8589d2407015505c693"),
+    ],
+    ids=["f-231-221", "f-2221-2341", "g--2", "g-3-2", "equiv-211-221",
+         "equiv-211-231", "runrev-1-1-2", "runrev-2-1-1", "descent-code"],
+)
+def test_images_match_their_pinned_digests(apply, digest):
+    """Every image of every partition of size 1-8, under the parameter
+    sets of criterion 10, hashed in enumeration order as "1,2,2,1;"."""
+    h = hashlib.sha256()
+    for pi in _all_nc(8):
+        h.update((",".join(map(str, apply(pi).letters)) + ";").encode())
+    assert h.hexdigest() == digest
+
+
+def _weakly_increasing_section(w, p):
+    """From p, the maximal weakly increasing section of w, as links
+    (letter, run length, ())."""
+    end = p + 1
+    while end < len(w) and w[end] >= w[end - 1]:
+        end += 1
+    return end, [(v, len(list(run)), ()) for v, run in itertools.groupby(w[p:end])]
+
+
+def test_descent_code_map_is_the_run_reversal_of_sections():
+    """Within a weakly increasing section each ascent goes to the running
+    maximum + 1, so reversing the ascent/plateau code reverses the run
+    lengths: the kernel of map_g and map_runrev, fed the sections, is
+    map_descent_code."""
+    for pi in _all_nc(10):
+        image = bijections._reverse_runs(pi.letters, _weakly_increasing_section)
+        assert image == map_descent_code(pi)
+
+
+@pytest.mark.parametrize(
+    "word,parse",
+    [
+        # a string found at position 1, inside the run 1,1
+        ((1, 1, 2), lambda w, p: (p + 1, [(w[p], 1, ())]) if p == 1 else None),
+        # links of total length 1 for a string of length 2
+        ((1, 2), lambda w, p: (p + 2, [(w[p], 1, ())])),
+    ],
+    ids=["starts-inside-a-run", "links-short-of-the-span"],
+)
+def test_run_reversal_kernel_asserts_its_structure(word, parse):
+    with pytest.raises(AssertionError):
+        bijections._reverse_runs(word, parse)
