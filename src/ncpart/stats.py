@@ -8,10 +8,13 @@ the same tables:
 
 - ``_transfer`` (``engine="transfer"``, the default) is a transfer matrix.
   A prefix's state keeps only its open letters, the closed letters still in
-  its trailing window, that window and its smallest repeated letter, so the
-  number of states grows polynomially in the size for a fixed pattern
-  length.  The window is only the longest suffix that could still start an
-  occurrence, which keeps long patterns cheap.
+  its trailing window, that window and its smallest repeated letter.  The
+  window is only the longest suffix that could still start an occurrence,
+  which keeps long patterns cheap, and it holds the top letters, so a state
+  is a window shape plus k open letters below it: the states grow linearly
+  in the size (quadratically in "rep" mode).  Each call builds this
+  (shape, k) automaton, deriving each shape's moves once, and drops it
+  when it returns.
 - ``_walk`` (``engine="brute"``) walks the prefix tree depth-first and
   records the nonzero counts at every node, at a cost of O(C_n) per size.
   It is the exhaustive reference the transfer engine is tested against,
@@ -226,14 +229,16 @@ def _walk(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
     return tables
 
 
-# A prefix state of the transfer engine: (tokens, window, r).  ``tokens``
-# lists the letters that still matter, in value order: "o" for an open
-# letter, "c" for a closed letter inside the window.  ``window`` holds the
-# token indices of the longest suffix (at most L - 1 letters, L the longest
-# word) that standardises to a proper prefix of a word; earlier letters can
-# take part in no later occurrence.  ``r`` is the token index of the
-# smallest repeated letter (-1 if none).
-State = tuple[str, Letters, int]
+# A state of the transfer engine: (shape, k, r).  The letters that still
+# matter are tokens in value order, "o" for an open letter and "c" for a
+# closed one inside the window, which is the longest suffix (at most L - 1
+# letters, L the longest word) that standardises to a proper prefix of a
+# word; earlier letters can take part in no later occurrence.  The window
+# holds the top tokens, so ``shape`` numbers, in this call's shape table,
+# (the tokens from the window's lowest up, the window's token indices
+# relative to that lowest), and ``k`` counts the open letters below it.
+# ``r`` is the token index of the smallest repeated letter (-1 if none).
+State = tuple[int, int, int]
 
 
 def _transfer(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
@@ -249,10 +254,25 @@ def _transfer(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
     letter is open (closing one would repeat a smaller letter), so r's
     letter is r + 1.
 
+    The window sits at the top of the token order: every token from its
+    lowest up is in it.  A closed token outside the window is dropped.  An
+    open letter x above the window's lowest letter but outside the window
+    was last written before the window began; that lowest letter is below
+    x and written after it, so it closed x.  A state is therefore a window
+    shape with k open letters below it, asserted on every shape built and
+    so on every state.  Each shape's moves are derived once, with the
+    window's bottom taken as 0: the fresh letter, each open window token,
+    and one move shared by every letter j below the window.  That letter
+    ranks below the whole window, so the hits and the next shape do not
+    depend on j; the letters between j and the window close and, being
+    outside it, are dropped, so j open letters stay below the next window
+    (j + 1 if it is empty).  A state's successors are these moves shifted
+    by k, built once per state.
+
     "separate" states carry [prefix count, {p: {c > 0: mult}}], and each
     count-0 cell is the engine's own prefix total minus the recorded cells.
     "joint" and "rep" states carry {(c0, c1): mult}; "rep" records r + 1.
-    Both memos (hits per window, successors per state) live in this call.
+    The shapes, their moves and every memo live only in this call.
     """
     separate = mode == "separate"
     track_rep = mode == "rep"
@@ -261,7 +281,10 @@ def _transfer(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
     # lengths longest first.
     starts = {_standardise(word[:m]) for word in words for m in range(1, len(word))}
     lengths = sorted({len(start) for start in starts}, reverse=True)
-    edges: dict[State, list] = {}
+    shapes: dict[tuple[str, Letters], int] = {("", ()): 0}
+    shape_list = [("", ())]  # shape id -> (tokens, window)
+    moves: dict[int, tuple] = {}  # shape -> (moves at or above, move below)
+    fanout: dict[State, list] = {}  # state -> [(next state, hits)]
 
     def kept(w: Letters) -> Letters:
         """The longest suffix of w that standardises to a proper prefix of
@@ -271,40 +294,68 @@ def _transfer(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
                 return w[len(w) - m :]
         return ()
 
-    def successors(state: State) -> list:
-        """(next state, hits) for each letter that may follow the state; in
-        "joint" and "rep" mode the hits are (hits on word 0, on word 1)."""
-        tokens, window, r = state
+    def move(stepped: str, w: Letters) -> tuple:
+        """(hits, next shape, open letters below its window) of the letter
+        ending w, a window of token indices into ``stepped``, the tokens
+        after the step; in "joint" and "rep" mode the hits are (hits on
+        word 0, on word 1)."""
+        hits = matches.get(w)
+        if hits is None:
+            hits = match(w)
+        window = kept(w)
+        tokens = ""
+        index = []
+        for i, kind in enumerate(stepped):
+            index.append(len(tokens))
+            if kind == "o" or i in window:
+                tokens += kind
+        bottom = index[min(window)] if window else len(tokens)
+        shape = (tokens[bottom:], tuple(index[i] - bottom for i in window))
+        assert set(shape[1]) == set(range(len(shape[0]))), "window not at the top"
+        sid = shapes.get(shape)
+        if sid is None:
+            sid = shapes[shape] = len(shape_list)
+            shape_list.append(shape)
+        return hits if separate else (hits.count(0), hits.count(1)), sid, bottom
+
+    def shape_moves(sid: int) -> tuple:
+        """A shape's moves, its window's bottom at 0: (i, *move) for the
+        fresh letter and each open window token i, and the one move of
+        every letter below the window."""
+        tokens, window = shape_list[sid]
         top = len(tokens)
+        up = [
+            (i, *move(tokens[:i] + "o" + "c" * (top - i - 1), window + (i,)))
+            for i, kind in enumerate(tokens + "o")  # index top is the fresh letter
+            if kind == "o"
+        ]
+        below = move("o" + "c" * top, tuple(i + 1 for i in window) + (0,))
+        moves[sid] = up, below
+        return up, below
+
+    def fan(state: State) -> list:
+        """(next state, hits) for each letter that may follow the state,
+        lowest letter first."""
+        sid, k, r = state
+        up, (hits, sid2, bottom) = moves.get(sid) or shape_moves(sid)
+        top = k + up[-1][0]  # the fresh letter's token index
         out = []
-        for j, t in enumerate(tokens + "o"):  # index top is the fresh letter
-            if t == "c":
-                continue
-            # j is open after the step; every letter above it is closed.
-            stepped = tokens[:j] + "o" + "c" * (top - j - 1)
-            w = window + (j,)
-            hits = matches.get(w)
-            if hits is None:
-                hits = match(w)
-            window2 = kept(w)
-            tokens2 = ""
-            index = []
-            for i, kind in enumerate(stepped):
-                index.append(len(tokens2))
-                if kind == "o" or i in window2:
-                    tokens2 += kind
+        for j in range(k):
+            r2 = j if track_rep and (r < 0 or j < r) else r
+            out.append(((sid2, j + bottom, r2), hits))
+        for i, hits, sid2, bottom in up:
+            j = k + i
             r2 = j if track_rep and j < top and (r < 0 or j < r) else r
-            nxt = (tokens2, tuple(index[i] for i in window2), index[r2] if r2 >= 0 else r2)
-            out.append((nxt, hits if separate else (hits.count(0), hits.count(1))))
-        edges[state] = out
+            out.append(((sid2, k + bottom, r2), hits))
+        fanout[state] = out
         return out
 
-    level: dict = {("", (), -1): [1, {}] if separate else {(0, 0): 1}}
+    level: dict = {(0, 0, -1): [1, {}] if separate else {(0, 0): 1}}
     tables = [_record(level, len(words), mode)]
     for _ in range(n_max):
         nxt: dict = {}
         for state, weight in level.items():
-            out = edges.get(state) or successors(state)
+            out = fanout.get(state) or fan(state)
             if separate:
                 _step_separate(weight, out, nxt)
             else:

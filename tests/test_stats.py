@@ -2,13 +2,14 @@
 engine and by the exhaustive prefix walk."""
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncpart.algebra import MultiPoly
-from ncpart import core
+from ncpart.algebra import MultiPoly, TruncatedSeries
+from ncpart import core, formulas
 from ncpart.core import (
     SubwordPattern,
     catalan,
@@ -395,6 +396,53 @@ def test_transfer_equals_the_walk_on_long_words_that_occur():
         assert stats._transfer(mode, 11, words) == stats._walk(mode, 11, words)
 
 
+# Separate-mode states after 10 and 20 steps: the (shape, k) automaton
+# reaches exactly the states of a token string with a window.
+STATES_AT_10_AND_20 = {
+    "11": (10, 20),
+    "112": (19, 39),
+    "123": (18, 38),
+    "213": (18, 38),
+    "321": (18, 38),
+    "1122": (27, 57),
+    "12321": (32, 72),
+    "1232145665": (52, 142),
+}
+
+
+@pytest.mark.parametrize("word", sorted(STATES_AT_10_AND_20))
+def test_transfer_states_per_size(monkeypatch, word):
+    sizes = []
+    record = stats._record
+
+    def counting(level, n_words, mode):
+        sizes.append(len(level))
+        return record(level, n_words, mode)
+
+    monkeypatch.setattr(stats, "_record", counting)
+    stats._transfer("separate", 20, (_letters(word),))
+    assert (sizes[10], sizes[20]) == STATES_AT_10_AND_20[word]
+
+
+@pytest.mark.parametrize("word", ["12321", "1232145665"])
+def test_transfer_derives_moves_per_shape_not_per_state(monkeypatch, word):
+    # Once every shape is reached, a longer run standardises nothing more.
+    calls = []
+    standardise = stats._standardise
+
+    def counting(window):
+        calls.append(window)
+        return standardise(window)
+
+    monkeypatch.setattr(stats, "_standardise", counting)
+    counts = []
+    for n in (24, 32):
+        calls.clear()
+        stats._transfer("separate", n, (_letters(word),))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_engines_are_cached_apart():
     stats._CACHE.clear()
     transfer = distribution_rows(6, "1213")
@@ -422,3 +470,58 @@ def test_a_row_with_a_wrong_total_or_coefficient_is_rejected():
         stats._checked_last_row(rows)
     rows[2] = Q + MultiPoly.const(1)
     assert stats._checked_last_row(rows) == rows[2]
+
+
+# ---------------------------------------------------------------------------
+# The transfer engine past the enumeration cap, against the closed forms
+# ---------------------------------------------------------------------------
+
+# The largest order the CLI serves; the exhaustive walk stops near n = 11.
+ORDER = 24
+small = st.integers(1, 4)
+at_least_2 = st.integers(2, 4)
+rhos = st.sampled_from([pi.letters for size in (1, 2, 3) for pi in enumerate_nc(size)])
+families = st.one_of(
+    st.builds(core.Run, small),
+    st.builds(core.RunAscent, small),
+    st.builds(core.StaircaseTail, at_least_2, at_least_2),
+    st.builds(core.RunStaircase, at_least_2, at_least_2),
+    st.builds(core.Sandwich, small, rhos, small),
+    st.tuples(rhos, small)
+    .filter(lambda t: t[1] == 1 or len(t[0]) == 1 or t[0][1] != 1)
+    .map(lambda t: core.RhoTail(*t)),
+)
+
+
+def transfer_series(mode, words):
+    """The engine's tables to size ORDER - 1 as a series, each table turned
+    into a row as the public row functions turn it."""
+    tables = stats._transfer(mode, ORDER - 1, words)
+    if mode == "separate":
+        rows = [MultiPoly({(c, 0, 0): m for c, m in t[0].items()}) for t in tables]
+    elif mode == "joint":
+        rows = [MultiPoly({(c2, c1, 0): m for (c1, c2, _), m in t.items()}) for t in tables]
+    else:
+        rows = [MultiPoly(t) for t in tables]
+    return TruncatedSeries(rows)
+
+
+@settings(max_examples=50, deadline=None)
+@given(families)
+def test_transfer_rows_equal_the_closed_series_past_the_cap(family):
+    series = transfer_series("separate", (family.pattern().word,))
+    assert series == formulas.closed_series(family, ORDER)
+
+
+@settings(max_examples=6, deadline=None)
+@given(small, small)
+def test_transfer_joint_tables_equal_the_closed_joint_series(a, b):
+    series = transfer_series("joint", ((1,) * a, (1,) * b + (2,)))
+    assert series == formulas.gf_joint_1a_1b2(a, b, ORDER)
+
+
+@settings(max_examples=6, deadline=None)
+@given(at_least_2, at_least_2, st.sampled_from([Fraction(2), Fraction(1, 2)]))
+def test_transfer_rep_tables_equal_the_closed_rep_series(m, a, v):
+    series = transfer_series("rep", (core.StaircaseTail(m, a).pattern().word,))
+    assert series.substitute(v=v) == formulas.gf_staircase_joint_rep(m, a, ORDER, v)
