@@ -342,10 +342,12 @@ def _parse_chain(
     occurrence of either exchanged pattern can use such a block,
     rebuilding places the block identically either way, and keeping it
     out of the span lets a chain that genuinely starts inside it be found
-    by a later scan.  Returns (end, links), or None when fewer than two
-    links start at p: a single link with nothing below it holds no
-    junction (hence no occurrence of either pattern) and must not consume
-    positions a real chain may start inside.
+    by a later scan.  Returns (end, links), or None when no link starts
+    at p.  A lone link is harmless: reversing it is the identity, and
+    consuming it skips nothing a later scan would find.  With nonempty
+    sigma it ends the word, and a link starting inside its block would
+    need more letters than remain; with empty sigma it is a maximal run
+    whose next letter is not below it.
     """
     n = len(w)
     msig = len(sigma)
@@ -374,7 +376,7 @@ def _parse_chain(
             links.append((u, run, ()))
             pos = after
         break
-    if len(links) < 2:
+    if not links:
         return None
     return pos, links
 

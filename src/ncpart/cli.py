@@ -275,12 +275,12 @@ def cmd_total(args: argparse.Namespace) -> int:
     method = args.method
     if method == "auto":
         method = "closed" if _METHODS["closed"][0](family) else "transfer"
+    _require_method(family, method)
     if method == "closed":
-        _require_method(family, "closed")
         total = formulas.total_occurrences(family, args.n)
     else:
-        rows = stats.distribution_rows(args.n, pattern, engine=method)
-        total = _poly_total(rows[args.n])
+        row = _METHODS[method][1](pattern, family, args.n + 1).coefficient(args.n)
+        total = _poly_total(row)
     obj = {
         "pattern": format_sequence(pattern.word),
         "n": args.n,
@@ -857,9 +857,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="total occurrences over all partitions of size n",
     )
     p_total.add_argument("--n", type=int, required=True)
-    p_total.add_argument(
-        "--method", choices=("auto", "closed", "brute", "transfer"), default="auto"
-    )
+    p_total.add_argument("--method", choices=("auto", *_METHODS), default="auto")
 
     p_verify = sub.add_parser(
         "verify", parents=[common], help="run a cross-check suite"

@@ -536,34 +536,6 @@ class Generic:
 PatternFamily = Union[Run, RunAscent, StaircaseTail, RunStaircase, Sandwich, RhoTail, Generic]
 
 
-def _match_run(word: Letters) -> Run | None:
-    if all(v == 1 for v in word):
-        return Run(len(word))
-    return None
-
-
-def _match_run_ascent(word: Letters) -> RunAscent | None:
-    if len(word) >= 2 and word[-1] == 2 and all(v == 1 for v in word[:-1]):
-        return RunAscent(len(word) - 1)
-    return None
-
-
-def _match_staircase_tail(word: Letters) -> StaircaseTail | None:
-    m = max(word)
-    a = len(word) - (m - 1)
-    if m >= 2 and a >= 2 and word == tuple(range(1, m)) + (m,) * a:
-        return StaircaseTail(m, a)
-    return None
-
-
-def _match_run_staircase(word: Letters) -> RunStaircase | None:
-    m = max(word)
-    a = len(word) - (m - 1)
-    if m >= 2 and a >= 2 and word == (1,) * a + tuple(range(2, m + 1)):
-        return RunStaircase(a, m)
-    return None
-
-
 def _runs_of_ones(word: Letters) -> tuple[int, int]:
     lead = 0
     while lead < len(word) and word[lead] == 1:
@@ -574,58 +546,42 @@ def _runs_of_ones(word: Letters) -> tuple[int, int]:
     return lead, trail
 
 
-def _match_sandwich(word: Letters) -> Sandwich | None:
+def _family_candidates(word: Letters) -> tuple[tuple[type, tuple], ...]:
+    """Each structured family with the parameters read off the word, most
+    specific first: the length, the top letter, the leading and trailing
+    runs of 1s, and the core between them lowered by one.
+
+    A reading need not be valid; the family constructor and ``pattern()``
+    decide whether the word belongs to the family."""
+    n, top = len(word), max(word)
     lead, trail = _runs_of_ones(word)
-    if lead < 1 or trail < 1 or lead + trail >= len(word):
-        return None
-    interior = word[lead : len(word) - trail]
-    if min(interior) < 2:
-        return None
-    rho = tuple(v - 1 for v in interior)
-    try:
-        return Sandwich(lead, rho, trail)
-    except FamilyViolation:
-        return None
-
-
-def _match_rho_tail(word: Letters) -> RhoTail | None:
-    _, trail = _runs_of_ones(word)
-    if trail < 1 or trail >= len(word):
-        return None
-    prefix = word[: len(word) - trail]
-    if min(prefix) < 2:
-        return None
-    rho = tuple(v - 1 for v in prefix)
-    try:
-        return RhoTail(rho, trail)
-    except FamilyViolation:
-        return None
-
-
-_MATCHERS = (
-    _match_run,
-    _match_run_ascent,
-    _match_staircase_tail,
-    _match_run_staircase,
-    _match_sandwich,
-    _match_rho_tail,
-)
+    return (
+        (Run, (n,)),
+        (RunAscent, (n - 1,)),
+        (StaircaseTail, (top, n - top + 1)),
+        (RunStaircase, (n - top + 1, top)),
+        (Sandwich, (lead, tuple(v - 1 for v in word[lead : n - trail]), trail)),
+        (RhoTail, (tuple(v - 1 for v in word[: n - trail]), trail)),
+    )
 
 
 def classify_all(pattern: Union[SubwordPattern, Sequence[int], str]) -> tuple[PatternFamily, ...]:
     """Every family the pattern belongs to, most specific first.
 
-    Falls back to a single Generic tag when no structured family matches.
+    A family holds the pattern when its constructor accepts the parameters
+    read off the word and its ``pattern()`` rebuilds the word.  Falls back
+    to a single Generic tag when no structured family does.
     """
     word = as_pattern(pattern).word
     matches: list[PatternFamily] = []
-    for matcher in _MATCHERS:
-        found = matcher(word)
-        if found is not None:
-            matches.append(found)
-    if not matches:
-        matches.append(Generic(word))
-    return tuple(matches)
+    for family, params in _family_candidates(word):
+        try:
+            candidate = family(*params)
+        except FamilyViolation:
+            continue
+        if candidate.pattern().word == word:
+            matches.append(candidate)
+    return tuple(matches) or (Generic(word),)
 
 
 def classify_pattern(pattern: Union[SubwordPattern, Sequence[int], str]) -> PatternFamily:

@@ -440,6 +440,10 @@ def test_large_partitions_exchange_and_involution(pi):
          "739e8893105b022ce3335c034ea326635171b2cbcda3cb6d4bbe03737ae6dd58"),
         (lambda pi: map_g(pi, "3", 2),
          "e8de8dbb57beb8a66a8f95eebc115065d29619ff7f8df3bd3d31356efb435cf3"),
+        (lambda pi: map_g(pi, "", 3),
+         "739e8893105b022ce3335c034ea326635171b2cbcda3cb6d4bbe03737ae6dd58"),
+        (lambda pi: map_g(pi, "32", 2),
+         "251535ca76f91d453668000bf524c12375f1d28c731d39ea70cebce7ae1f210c"),
         (lambda pi: map_equiv(pi, "211", "221"),
          "739e8893105b022ce3335c034ea326635171b2cbcda3cb6d4bbe03737ae6dd58"),
         (lambda pi: map_equiv(pi, "211", "231"),
@@ -451,12 +455,14 @@ def test_large_partitions_exchange_and_involution(pi):
         (map_descent_code,
          "46c1d7d5732b5c04b70a230c961fced21830aa3a9c8ae8589d2407015505c693"),
     ],
-    ids=["f-231-221", "f-2221-2341", "g--2", "g-3-2", "equiv-211-221",
-         "equiv-211-231", "runrev-1-1-2", "runrev-2-1-1", "descent-code"],
+    ids=["f-231-221", "f-2221-2341", "g--2", "g-3-2", "g--3", "g-32-2",
+         "equiv-211-221", "equiv-211-231", "runrev-1-1-2", "runrev-2-1-1",
+         "descent-code"],
 )
 def test_images_match_their_pinned_digests(apply, digest):
     """Every image of every partition of size 1-8, under the parameter
-    sets of criterion 10, hashed in enumeration order as "1,2,2,1;"."""
+    sets of criterion 10 and two more of map_g (b = 3, and a two-letter
+    sigma), hashed in enumeration order as "1,2,2,1;"."""
     h = hashlib.sha256()
     for pi in _all_nc(8):
         h.update((",".join(map(str, apply(pi).letters)) + ";").encode())

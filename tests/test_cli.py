@@ -214,6 +214,29 @@ def test_total_methods_agree(capsys):
         assert closed.strip() == brute.strip(), pattern
 
 
+@pytest.mark.parametrize("pattern", ["122", "1233"])
+def test_total_every_applicable_method_agrees(capsys, pattern):
+    """Staircase tails take every method, recurrence included."""
+    for n in range(13):
+        totals = set()
+        for method in ("auto", *cli._METHODS):
+            code, out, err = run_cli(
+                capsys, "total", "--pattern", pattern, "--n", str(n),
+                "--method", method,
+            )
+            assert code == 0 and err == "", (pattern, n, method)
+            totals.add(out)
+        assert len(totals) == 1, (pattern, n, totals)
+
+
+def test_total_rejects_an_inapplicable_method(capsys):
+    code, out, err = run_cli(
+        capsys, "total", "--pattern", "123", "--n", "5", "--method", "recurrence"
+    )
+    assert code == 2 and out == ""
+    assert "applicable methods: brute, transfer" in err
+
+
 # ---------------------------------------------------------------------------
 # bij
 # ---------------------------------------------------------------------------

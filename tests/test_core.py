@@ -1,5 +1,8 @@
 """Canonical sequences, enumeration, patterns, and family classification."""
 
+import hashlib
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -262,6 +265,19 @@ def test_classify_all_lists_every_match():
     kinds = [type(f).__name__ for f in classify_all("122")]
     assert kinds[0] == "StaircaseTail"
     assert "Generic" not in kinds or len(kinds) == 1
+
+
+def test_classification_of_every_short_pattern_is_pinned():
+    """repr(classify_all(w)) + newline for every pattern word of length
+    1-7 (47293 words at length 7), in lexicographic order."""
+    h = hashlib.sha256()
+    for n in range(1, 8):
+        for w in itertools.product(range(1, n + 1), repeat=n):
+            if set(w) == set(range(1, max(w) + 1)):
+                h.update((repr(classify_all(w)) + "\n").encode())
+    assert h.hexdigest() == (
+        "28cdaecaf8e86aaabf672a6ce233710af930f62510e0d140742f1d508fdb9ce8"
+    )
 
 
 def test_family_parameter_validation():
