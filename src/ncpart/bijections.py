@@ -26,7 +26,8 @@ call.
   1^a 2 3 ... m and 1 2 ... (m-1) m^a for all a, m >= 2 at once.
 
 :func:`map_g` and :func:`map_runrev` share one kernel, :func:`_reverse_runs`,
-which reverses the run lengths inside the strings each map parses.
+which reverses the run lengths inside the strings each map parses.  Each
+occurrence test checks a pattern's chain links (``core._occurs_at``).
 """
 
 from __future__ import annotations
@@ -37,13 +38,15 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 from .core import (
+    ChainLinks,
     Letters,
     NCPartition,
     RhoTail,
     Sandwich,
     SubwordPattern,
+    _chain_links,
+    _occurs_at,
     _param_key,
-    _standardise,
     as_ncpartition,
     as_pattern,
     classify_pattern,
@@ -69,11 +72,6 @@ PatternLike = Union[SubwordPattern, Sequence[int], str]
 
 #: Distinct parameter sets whose resolution each map keeps.
 _PARAM_CACHE_SIZE = 256
-#: Distinct windows whose standardization is kept.
-_STD_CACHE_SIZE = 1 << 12
-
-
-_std = functools.lru_cache(maxsize=_STD_CACHE_SIZE)(_standardise)
 
 
 # ---------------------------------------------------------------------------
@@ -105,35 +103,35 @@ def _coerce_rho_tail(value: Union[RhoTail, PatternLike]) -> RhoTail:
 
 
 @functools.lru_cache(maxsize=_PARAM_CACHE_SIZE)
-def _exchange_words(tau: Hashable, tau2: Hashable) -> tuple[Letters, Letters]:
-    """The two validated pattern words :func:`map_f` exchanges: the pair
-    checks of :func:`_equiv_plan`, with neither pattern needing a
-    reduction.  A word of the shape (rho+1)1 determines its family, so
-    equal words mean equal families."""
+def _exchange_words(
+    tau: Hashable, tau2: Hashable
+) -> tuple[Letters, Letters, ChainLinks, ChainLinks]:
+    """The two validated pattern words :func:`map_f` exchanges, then their
+    chain links: the pair checks of :func:`_equiv_plan`, with neither
+    pattern needing a reduction.  A word of the shape (rho+1)1 determines
+    its family, so equal words mean equal families."""
     _, lift1, reduced1, reduced2, lift2 = _equiv_plan(tau, tau2)
     if lift1 is not None or lift2 is not None:
         raise FamilyViolation(
             "the window exchange needs trailing-run length 1 on both patterns"
         )
-    return reduced1.pattern().word, reduced2.pattern().word
+    word1, word2 = reduced1.pattern().word, reduced2.pattern().word
+    return word1, word2, _chain_links(word1), _chain_links(word2)
 
 
 def _scan_strings(
-    w: Sequence[int], word1: Letters, word2: Letters
+    w: Sequence[int], length: int, links1: ChainLinks, links2: ChainLinks
 ) -> list[TauString]:
-    """All windows realizing either pattern, left to right.
+    """All windows satisfying links1 (kind 0) or links2 (kind 1), left to right.
 
     Adjacent windows must be disjoint or share exactly one position —
     a structural fact for trailing-run-1 patterns that the sequential
     rewrite relies on, so it is asserted."""
-    length = len(word1)
-    letters = tuple(w)
     found: list[TauString] = []
     for start in range(len(w) - length + 1):
-        window = _std(letters[start : start + length])
-        if window == word1:
+        if _occurs_at(w, start, links1):
             found.append(TauString(start, start + length, 0))
-        elif window == word2:
+        elif _occurs_at(w, start, links2):
             found.append(TauString(start, start + length, 1))
     for prev, nxt in zip(found, found[1:]):
         if nxt.start < prev.end - 1:
@@ -220,18 +218,18 @@ def map_f(
     tau2-occurrences of the output and vice versa; the first and last
     positions of every occurrence window are preserved.
     """
-    word1, word2 = _exchange_words(_param_key(tau), _param_key(tau2))
+    word1, word2, links1, links2 = _exchange_words(_param_key(tau), _param_key(tau2))
     partition = as_ncpartition(pi)
     if word1 == word2:
         return partition
     length = len(word1)
     w = list(partition.letters)
-    base = _scan_strings(w, word1, word2)
+    base = _scan_strings(w, length, links1, links2)
     if not base:
         return partition
     words = (word1, word2)
     for i in range(len(base)):
-        current = _scan_strings(w, word1, word2)
+        current = _scan_strings(w, length, links1, links2)
         expected = [
             TauString(b.start, b.end, b.kind ^ 1 if j < i else b.kind)
             for j, b in enumerate(base)
@@ -246,7 +244,7 @@ def map_f(
             raise AssertionError(
                 "intermediate word is not a canonical non-crossing sequence"
             )
-    final = _scan_strings(w, word1, word2)
+    final = _scan_strings(w, length, links1, links2)
     expected = [TauString(b.start, b.end, b.kind ^ 1) for b in base]
     if final != expected:
         raise AssertionError("final occurrence-window set is not fully exchanged")
@@ -303,9 +301,9 @@ def _reverse_runs(
 
 
 @functools.lru_cache(maxsize=_PARAM_CACHE_SIZE)
-def _chain_params(sigma: Hashable) -> tuple[Letters, Letters]:
-    """Validate and normalize the chain-block suffix sigma; return it with
-    the pattern word every (u,)+block of a chain must match.
+def _chain_params(sigma: Hashable) -> ChainLinks:
+    """Validate the chain-block suffix sigma; return the chain links every
+    (u,)+block of a chain must satisfy, those of 2·sigma shifted down by 1.
 
     2·sigma must be a non-crossing word on {2, 3, ...} (that is, sigma
     shifted down by 1 and prefixed by 1 must be canonical), and sigma
@@ -324,17 +322,17 @@ def _chain_params(sigma: Hashable) -> tuple[Letters, Letters]:
             f"2+sigma does not shift down to a canonical non-crossing word: "
             f"{(2,) + parsed}"
         )
-    return parsed, _std((2,) + parsed)
+    return _chain_links(shifted)
 
 
 def _parse_chain(
-    w: Sequence[int], p: int, sigma: Letters, target: Letters
+    w: Sequence[int], p: int, target: ChainLinks
 ) -> tuple[int, list[Link]] | None:
     """Parse the maximal descending chain starting at position p.
 
     A chain is u_1^{r_1} B_1 u_2^{r_2} B_2 ... u_t^{r_t} B_t u^{r} with
     strictly descending u_i, every (u_i,)+B_i order-isomorphic to
-    (2,)+sigma (whose pattern word is target), all run lengths >= 1, and
+    (2,)+sigma (whose chain links are target), all run lengths >= 1, and
     a final run of a letter below u_t (absent when the word ends inside a
     link); that run is the last link, with an empty block.  A matched
     block that would close the chain — the letter after it is not below
@@ -350,7 +348,7 @@ def _parse_chain(
     whose next letter is not below it.
     """
     n = len(w)
-    msig = len(sigma)
+    msig = len(target)  # one link per letter of sigma
     links: list[Link] = []
     pos = p
     while pos < n:
@@ -365,11 +363,11 @@ def _parse_chain(
             links.append((u, run, ()))
             pos = after
             continue
-        block = tuple(w[after : after + msig])
-        if len(block) == msig and _std((u,) + block) == target:
+        # w[after - 1] is u, so this tests the window (u,) + block.
+        if after + msig <= n and _occurs_at(w, after - 1, target):
             nxt = after + msig
             if nxt == n or w[nxt] < u:
-                links.append((u, run, block))
+                links.append((u, run, tuple(w[after:nxt])))
                 pos = nxt
                 continue
         if links:
@@ -392,8 +390,8 @@ def map_g(pi: PartitionLike, sigma: PatternLike, b: int) -> NCPartition:
     """
     if int(b) < 2:
         raise FamilyViolation("the trailing-run length b must be at least 2")
-    sig, target = _chain_params(_param_key(sigma))
-    return _reverse_runs(as_ncpartition(pi).letters, _parse_chain, sig, target)
+    target = _chain_params(_param_key(sigma))
+    return _reverse_runs(as_ncpartition(pi).letters, _parse_chain, target)
 
 
 def map_equiv(
@@ -455,15 +453,15 @@ def _equiv_plan(
 
 
 def _parse_runstring(
-    w: Sequence[int], p: int, rho_word: Letters
+    w: Sequence[int], p: int, rho_links: ChainLinks
 ) -> tuple[int, list[Link]] | None:
     """Parse the maximal string x^{i_1} A_1 x^{i_2} ... A_r x^{i_{r+1}}
-    starting at p: every A_j order-isomorphic to rho_word with all its
-    letters above x, every run length >= 1 including the trailing one,
-    and at least one block.  Returns (end, links), the links being
-    (x, i_j, A_j) and finally (x, i_{r+1}, ())."""
+    starting at p: every A_j order-isomorphic to rho (whose chain links
+    are rho_links) with all its letters above x, every run length >= 1
+    including the trailing one, and at least one block.  Returns (end,
+    links), the links being (x, i_j, A_j) and finally (x, i_{r+1}, ())."""
     n = len(w)
-    m = len(rho_word)
+    m = len(rho_links) + 1  # rho is nonempty
     x = w[p]
     links: list[Link] = []
     pos = p
@@ -475,7 +473,7 @@ def _parse_runstring(
         if pos + m >= n or w[pos + m] != x:
             break
         block = tuple(w[pos : pos + m])
-        if _std(block) != rho_word or min(block) <= x:
+        if not _occurs_at(w, pos, rho_links) or min(block) <= x:
             break
         links.append((x, run, block))
         pos += m
@@ -486,25 +484,25 @@ def _parse_runstring(
 
 
 def _maximal_runstring(
-    w: Sequence[int], p: int, rho_word: Letters
+    w: Sequence[int], p: int, rho_links: ChainLinks
 ) -> tuple[int, list[Link]] | None:
     """:func:`_parse_runstring`, asserting that no string starting inside
     the one found reaches past its end."""
-    found = _parse_runstring(w, p, rho_word)
+    found = _parse_runstring(w, p, rho_links)
     if found is not None:
         for q in range(p + 1, found[0]):
-            probe = _parse_runstring(w, q, rho_word)
+            probe = _parse_runstring(w, q, rho_links)
             if probe is not None and probe[0] > found[0]:
                 raise AssertionError("maximal run strings are not disjoint")
     return found
 
 
 @functools.lru_cache(maxsize=_PARAM_CACHE_SIZE)
-def _runrev_rho(rho: Hashable, a: int, b: int) -> Letters:
-    """The pattern word of rho, once a, rho and b pass Sandwich validation."""
+def _runrev_rho(rho: Hashable, a: int, b: int) -> ChainLinks:
+    """The chain links of rho, once a, rho and b pass Sandwich validation."""
     rho_word = as_pattern(rho).word
     Sandwich(int(a), rho_word, int(b))
-    return rho_word
+    return _chain_links(rho_word)
 
 
 def map_runrev(
@@ -518,8 +516,8 @@ def map_runrev(
     statistic pair (any a, b >= 1).  A string's trailing run is maximal,
     so one starting where the previous one ended cannot continue a run:
     the kernel's left-maximality check covers every string start."""
-    rho_word = _runrev_rho(_param_key(rho), a, b)
-    return _reverse_runs(as_ncpartition(pi).letters, _maximal_runstring, rho_word)
+    rho_links = _runrev_rho(_param_key(rho), a, b)
+    return _reverse_runs(as_ncpartition(pi).letters, _maximal_runstring, rho_links)
 
 
 # ---------------------------------------------------------------------------

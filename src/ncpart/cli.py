@@ -913,7 +913,7 @@ def entry(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.subcommand](_checked(args))
-    except (NcpartError, ValueError) as exc:
+    except (NcpartError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

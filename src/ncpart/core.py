@@ -342,6 +342,31 @@ def _standardise(window: Letters) -> Letters:
     return tuple(ranks[v] for v in window)
 
 
+#: A pattern's chain links: its positions sorted by (letter, position), as
+#: (position, next position, equal) for each consecutive pair.
+ChainLinks = tuple[tuple[int, int, bool], ...]
+
+
+def _chain_links(word: Letters) -> ChainLinks:
+    """The L - 1 chain links of a word of length L.  A window is
+    order-isomorphic to the word when the letters at each link's two
+    positions are equal (``equal``) or strictly increasing (otherwise): the
+    links order the whole window as the word is ordered, unstandardised."""
+    order = sorted(range(len(word)), key=lambda i: (word[i], i))
+    return tuple((i, j, word[i] == word[j]) for i, j in zip(order, order[1:]))
+
+
+def _occurs_at(letters: Sequence[int], start: int, links: ChainLinks) -> bool:
+    """Whether the window of letters at start, as long as the word whose
+    links are given (the caller checks that it fits), is an occurrence."""
+    for i, j, equal in links:
+        x = letters[start + i]
+        y = letters[start + j]
+        if (x != y) if equal else (x >= y):
+            return False
+    return True
+
+
 class SubwordPattern:
     """A pattern matched against consecutive windows up to order-isomorphism.
 

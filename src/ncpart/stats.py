@@ -19,6 +19,8 @@ the same tables:
   records the nonzero counts at every node, at a cost of O(C_n) per size.
   It is the exhaustive reference the transfer engine is tested against,
   and ``distribution_rows`` reaches it for the CLI's ``--method brute``.
+  Like ``count_subword`` it tests windows against the words' chain links,
+  so it shares nothing with the engine it checks, the one that standardises.
 """
 
 from __future__ import annotations
@@ -29,9 +31,12 @@ from typing import Sequence, Union
 
 from .algebra import MultiPoly
 from .core import (
+    ChainLinks,
     NCPartition,
     SubwordPattern,
+    _chain_links,
     _check_size,
+    _occurs_at,
     _param_key,
     _standardise,
     as_ncpartition,
@@ -59,31 +64,17 @@ Letters = tuple[int, ...]
 PatternLike = Union[SubwordPattern, Sequence[int], str]
 PartitionLike = Union[NCPartition, Sequence[int], str]
 
-#: A pattern's chain links: its positions sorted by (letter, position), as
-#: (position, next position, equal) for each consecutive pair.
-Constraints = tuple[tuple[int, int, bool], ...]
-
-
-#: Distinct patterns whose constraints :func:`count_subword` keeps.
+#: Distinct patterns whose chain links :func:`count_subword` keeps.
 _PATTERN_CACHE_SIZE = 256
 
 
 @functools.lru_cache(maxsize=_PATTERN_CACHE_SIZE)
-def _pattern_constraints(tau: Hashable) -> tuple[int, Constraints]:
-    """The length and the L - 1 chain links of a pattern, resolved once per
-    distinct pattern (keyed by ``core._param_key``); an invalid pattern
-    raises and is not cached.
-
-    A window is order-isomorphic to the pattern when the letters at each
-    link's two positions are equal (``equal``) or strictly increasing
-    (otherwise): the links order the whole window as the word is ordered.
-    They compare letters directly, so the oracle never standardises a
-    window and stays independent of the engines."""
+def _pattern_constraints(tau: Hashable) -> tuple[int, ChainLinks]:
+    """The length and the chain links (``core._chain_links``) of a pattern,
+    resolved once per distinct pattern (keyed by ``core._param_key``); an
+    invalid pattern raises and is not cached."""
     word = as_pattern(tau).word
-    order = sorted(range(len(word)), key=lambda i: (word[i], i))
-    return len(word), tuple(
-        (i, j, word[i] == word[j]) for i, j in zip(order, order[1:])
-    )
+    return len(word), _chain_links(word)
 
 
 def count_subword(pi: PartitionLike, tau: PatternLike) -> int:
@@ -92,6 +83,7 @@ def count_subword(pi: PartitionLike, tau: PatternLike) -> int:
     length, links = _pattern_constraints(_param_key(tau))
     count = 0
     for start in range(len(letters) - length + 1):
+        # core._occurs_at, inlined: a call per window costs about a third more.
         for i, j, equal in links:
             x = letters[start + i]
             y = letters[start + j]
@@ -141,27 +133,6 @@ def descent_count(pi: PartitionLike) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _matcher(words: tuple[Letters, ...]):
-    """The occurrence lookup both engines share: ``match(window)`` returns
-    the index p of every word that a suffix of window standardises to (a
-    word listed twice is hit twice) and stores it in the returned memo,
-    which callers read first."""
-    by_length: dict[int, dict[Letters, list[int]]] = {}
-    for p, word in enumerate(words):
-        by_length.setdefault(len(word), {}).setdefault(word, []).append(p)
-    matches: dict[Letters, tuple[int, ...]] = {}
-
-    def match(window: Letters) -> tuple[int, ...]:
-        found: list[int] = []
-        for length, table in by_length.items():
-            if length <= len(window):
-                found += table.get(_standardise(window[len(window) - length :]), ())
-        matches[window] = hits = tuple(found)
-        return hits
-
-    return matches, match
-
-
 def _walk(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
     """Histogram tables of every size k <= n_max, from one walk.
 
@@ -171,17 +142,18 @@ def _walk(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
     words[1] (0 if absent) and smallest repeated letter r ("rep" only; 0
     when nothing repeats).
 
-    A node carries only its nonzero counts, {word index: count}.  A window
-    is order-isomorphic to at most one word of each length, so each node
-    costs one lookup of its trailing window in a memo, however many words
-    there are.  Except in "rep" mode a node records only nonzero counts,
-    and each count-0 cell is the walk's own node count at that size minus
-    the cells recorded there.
+    A node carries only its nonzero counts, {word index: count}.  It hits
+    each word whose chain links its trailing window satisfies
+    (``core._occurs_at``), and the walk keeps nothing but its depth-first
+    stack.  A batch costs one link check per word per node; only tests
+    batch this route.  Except in "rep" mode a node records only nonzero
+    counts, and each count-0 cell is the walk's own node count at that size
+    minus the cells recorded there.
     """
     separate = mode == "separate"
     track_rep = mode == "rep"
     longest = max((len(w) for w in words), default=0)
-    matches, match = _matcher(words)
+    checks = [(p, len(word), _chain_links(word)) for p, word in enumerate(words)]
     tables: list = [[{} for _ in words] if separate else {} for _ in range(n_max + 1)]
     nodes = [1] + [0] * n_max
     if track_rep:
@@ -199,13 +171,11 @@ def _walk(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
         nodes[depth] += len(stack) + 1
         for idx, v in enumerate(stack + (fresh,)):
             w = window[1:] + (v,) if full else window + (v,)
-            hits = matches.get(w)
-            if hits is None:
-                hits = match(w)
             a = active
-            if hits:
-                a = active.copy()
-                for p in hits:
+            for p, length, links in checks:
+                if length <= len(w) and _occurs_at(w, len(w) - length, links):
+                    if a is active:
+                        a = active.copy()
                     a[p] = a.get(p, 0) + 1
             r2 = v if track_rep and v != fresh and (r == 0 or v < r) else r
             if separate:
@@ -276,7 +246,10 @@ def _transfer(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
     """
     separate = mode == "separate"
     track_rep = mode == "rep"
-    matches, match = _matcher(words)
+    # length -> {word: its indices}: a word listed twice is hit twice.
+    by_length: dict[int, dict[Letters, list[int]]] = {}
+    for p, word in enumerate(words):
+        by_length.setdefault(len(word), {}).setdefault(word, []).append(p)
     # The standardised proper prefixes of the words; ``kept`` tries their
     # lengths longest first.
     starts = {_standardise(word[:m]) for word in words for m in range(1, len(word))}
@@ -297,11 +270,13 @@ def _transfer(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
     def move(stepped: str, w: Letters) -> tuple:
         """(hits, next shape, open letters below its window) of the letter
         ending w, a window of token indices into ``stepped``, the tokens
-        after the step; in "joint" and "rep" mode the hits are (hits on
-        word 0, on word 1)."""
-        hits = matches.get(w)
-        if hits is None:
-            hits = match(w)
+        after the step.  The hits are the indices of the words a suffix of
+        w standardises to; in "joint" and "rep" mode, (hits on word 0, on
+        word 1)."""
+        hits = []
+        for length, table in by_length.items():
+            if length <= len(w):
+                hits += table.get(_standardise(w[len(w) - length :]), ())
         window = kept(w)
         tokens = ""
         index = []

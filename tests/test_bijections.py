@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncpart import bijections
+from ncpart import bijections, core, stats
 from ncpart.bijections import (
     decode_descent_code,
     descent_code,
@@ -467,6 +467,35 @@ def test_images_match_their_pinned_digests(apply, digest):
     for pi in _all_nc(8):
         h.update((",".join(map(str, apply(pi).letters)) + ";").encode())
     assert h.hexdigest() == digest
+
+
+def test_no_map_standardises(monkeypatch):
+    # Every occurrence test checks chain links; with the parameter caches
+    # cleared, the maps reach the same images without standardising.
+    maps = (
+        [lambda pi, pair=pair: map_f(pi, *pair) for pair in F_PAIRS]
+        + [lambda pi, case=case: map_g(pi, *case) for case in G_CASES]
+        + [lambda pi, pair=pair: map_equiv(pi, *pair) for pair in E_PAIRS]
+        + [lambda pi, case=case: map_runrev(pi, *case) for case in RR_CASES]
+        + [map_descent_code]
+    )
+    partitions = list(_all_nc())
+    before = [[apply(pi) for pi in partitions] for apply in maps]
+
+    def forbidden(window):
+        raise AssertionError(f"a bijection standardised {window!r}")
+
+    assert "_standardise" not in vars(bijections)
+    monkeypatch.setattr(core, "_standardise", forbidden)
+    monkeypatch.setattr(stats, "_standardise", forbidden)
+    for resolve in (
+        bijections._exchange_words,
+        bijections._chain_params,
+        bijections._equiv_plan,
+        bijections._runrev_rho,
+    ):
+        resolve.cache_clear()
+    assert [[apply(pi) for pi in partitions] for apply in maps] == before
 
 
 def _weakly_increasing_section(w, p):

@@ -10,7 +10,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncpart import cli, stats
@@ -640,6 +640,7 @@ def _argv(draw) -> list[str]:
 
 @settings(max_examples=300, deadline=None)
 @given(_argv())
+@example(["dist", "--family", "run", "--a", "9" * 30, "--n", "0"])  # (1,) * a overflows
 def test_any_argv_exits_0_1_or_2_without_a_traceback(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

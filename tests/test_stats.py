@@ -1,6 +1,7 @@
 """Statistics: occurrence counts and distribution tables, by the transfer
 engine and by the exhaustive prefix walk."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -165,16 +166,25 @@ _pattern_words = st.lists(st.integers(1, 4), min_size=1, max_size=6).map(
 def test_count_subword_matches_the_pairwise_sign_definition(letters, word):
     assert is_canonical_nc(letters)
     assert count_subword(letters, word) == pairwise_count(letters, word)
+    pairs, links = _pair_constraints(word), core._chain_links(word)
+    for start in range(len(letters) - len(word) + 1):
+        assert core._occurs_at(letters, start, links) == _window_matches(
+            letters, start, pairs
+        )
+
+
+def _forbid_standardising(monkeypatch):
+    def forbidden(window):
+        raise AssertionError(f"standardised {window!r}")
+
+    monkeypatch.setattr(core, "_standardise", forbidden)
+    monkeypatch.setattr(stats, "_standardise", forbidden)
 
 
 def test_count_subword_never_standardises(monkeypatch):
     # The oracle checks the engines, which standardise windows; it must
     # reach its counts another way.
-    def forbidden(window):
-        raise AssertionError(f"count_subword standardised {window!r}")
-
-    monkeypatch.setattr(core, "_standardise", forbidden)
-    monkeypatch.setattr(stats, "_standardise", forbidden)
+    _forbid_standardising(monkeypatch)
     stats._pattern_constraints.cache_clear()
     assert count_subword("1213311", "121") == 1
     assert count_subword("1213311", "11") == 2
@@ -183,6 +193,17 @@ def test_count_subword_never_standardises(monkeypatch):
     assert count_subword("123321", "1221") == 1
     assert count_subword("11", "111") == 0
     assert count_subword("1234", "1") == 4
+
+
+def test_the_brute_walk_never_standardises(monkeypatch):
+    # Only the transfer engine standardises: the walk that checks it tests
+    # the chain links count_subword tests.
+    words = ("1213", "2211", "12321", "1232145665")
+    monkeypatch.setattr(stats, "_CACHE", {})
+    before = [distribution_rows(8, w, engine="brute") for w in words]
+    _forbid_standardising(monkeypatch)
+    stats._CACHE.clear()
+    assert [distribution_rows(8, w, engine="brute") for w in words] == before
 
 
 def test_rep_smallest_repeated_letter():
@@ -441,6 +462,18 @@ def test_transfer_derives_moves_per_shape_not_per_state(monkeypatch, word):
         stats._transfer("separate", n, (_letters(word),))
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_the_brute_walk_keeps_only_its_path():
+    # A memo of every window the walk meets peaks at 4.24 MiB on this input.
+    long12 = _letters("123214566578")
+    tracemalloc.start()
+    try:
+        stats._walk("separate", 10, (long12,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_engines_are_cached_apart():
