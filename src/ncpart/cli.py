@@ -170,8 +170,7 @@ def _resolve_pattern(args: argparse.Namespace) -> tuple[SubwordPattern, PatternF
 
 
 def _row_series(engine: str, pattern: SubwordPattern, order: int) -> TruncatedSeries:
-    rows = stats.distribution_rows(order - 1, pattern, engine=engine)
-    return TruncatedSeries.from_x_poly(dict(enumerate(rows)), order)
+    return TruncatedSeries(stats.distribution_rows(order - 1, pattern, engine=engine))
 
 
 #: ``--method`` name -> (applies(family), series(pattern, family, order)).

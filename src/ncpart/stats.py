@@ -1,26 +1,24 @@
 """Statistics of non-crossing partitions: subword-pattern occurrence counts
 and their exact distributions as marker polynomials.
 
-The row functions never materialize the partitions, and a single
-pass produces the rows for every size up to the requested bound; a joint
-distribution needs one pass, never one per pattern.  Two engines return
-the same tables:
+The row functions never materialize the partitions, and one pass
+produces the rows for every size up to the requested bound.
 
-- ``_transfer`` (``engine="transfer"``, the default) is a transfer matrix.
-  A prefix's state keeps only its open letters, the closed letters still in
-  its trailing window, that window and its smallest repeated letter.  The
+- ``_transfer`` (``engine="transfer"``, the default) is a transfer matrix;
+  a batch of patterns or a joint distribution takes one pass.  A prefix's
+  state keeps only its open letters, the closed letters still in its
+  trailing window, that window and its smallest repeated letter.  The
   window is only the longest suffix that could still start an occurrence,
   which keeps long patterns cheap, and it holds the top letters, so a state
   is a window shape plus k open letters below it: the states grow linearly
   in the size (quadratically in "rep" mode).  Each call builds this
   (shape, k) automaton, deriving each shape's moves once, and drops it
   when it returns.
-- ``_walk`` (``engine="brute"``) walks the prefix tree depth-first and
-  records the nonzero counts at every node, at a cost of O(C_n) per size.
-  It is the exhaustive reference the transfer engine is tested against,
-  and ``distribution_rows`` reaches it for the CLI's ``--method brute``.
-  Like ``count_subword`` it tests windows against the words' chain links,
-  so it shares nothing with the engine it checks, the one that standardises.
+- ``_walk`` (``engine="brute"``, the CLI's ``--method brute``) walks the
+  prefix tree depth-first for one word, at O(C_n) per size; a batch walks
+  once per word.  It is the exhaustive reference for the transfer engine's
+  separate rows, and like ``count_subword`` it tests windows against the
+  word's chain links: it shares nothing with the engine that standardises.
 """
 
 from __future__ import annotations
@@ -133,70 +131,49 @@ def descent_count(pi: PartitionLike) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _walk(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
-    """Histogram tables of every size k <= n_max, from one walk.
+def _walk(n_max: int, word: Letters) -> list[dict[int, int]]:
+    """tables[k][c] = number of size-k prefixes (k <= n_max) with c
+    occurrences of word, from one depth-first walk of the prefix tree.
 
-    "separate": tables[k][p][c] = number of size-k prefixes with c
-    occurrences of words[p].  "joint" and "rep": tables[k][(c0, c1, r)] =
-    number of size-k prefixes with c0 occurrences of words[0], c1 of
-    words[1] (0 if absent) and smallest repeated letter r ("rep" only; 0
-    when nothing repeats).
-
-    A node carries only its nonzero counts, {word index: count}.  It hits
-    each word whose chain links its trailing window satisfies
-    (``core._occurs_at``), and the walk keeps nothing but its depth-first
-    stack.  A batch costs one link check per word per node; only tests
-    batch this route.  Except in "rep" mode a node records only nonzero
-    counts, and each count-0 cell is the walk's own node count at that size
+    A node carries its count and hits the word when its trailing window
+    satisfies the word's chain links (``core._occurs_at``); the walk keeps
+    nothing but its depth-first stack.  A node records only a nonzero
+    count, and each count-0 cell is the walk's own node count at that size
     minus the cells recorded there.
     """
-    separate = mode == "separate"
-    track_rep = mode == "rep"
-    longest = max((len(w) for w in words), default=0)
-    checks = [(p, len(word), _chain_links(word)) for p, word in enumerate(words)]
-    tables: list = [[{} for _ in words] if separate else {} for _ in range(n_max + 1)]
+    length = len(word)
+    links = _chain_links(word)
+    tables: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
     nodes = [1] + [0] * n_max
-    if track_rep:
-        tables[0][0, 0, 0] = 1
     # Nodes still to expand, depth-first: (depth, largest letter, letters
-    # that may repeat, trailing window, nonzero counts, r).
-    todo: list = [(0, 0, (), (), {}, 0)] if n_max else []
+    # that may repeat, trailing window, count).
+    todo: list = [(0, 0, (), (), 0)] if n_max else []
     while todo:
-        depth, maximum, stack, window, active, r = todo.pop()
+        depth, maximum, stack, window, count = todo.pop()
         depth += 1
-        h = tables[depth]
+        cells = tables[depth]
         deeper = depth < n_max
-        full = len(window) == longest
         fresh = maximum + 1
         nodes[depth] += len(stack) + 1
         for idx, v in enumerate(stack + (fresh,)):
-            w = window[1:] + (v,) if full else window + (v,)
-            a = active
-            for p, length, links in checks:
-                if length <= len(w) and _occurs_at(w, len(w) - length, links):
-                    if a is active:
-                        a = active.copy()
-                    a[p] = a.get(p, 0) + 1
-            r2 = v if track_rep and v != fresh and (r == 0 or v < r) else r
-            if separate:
-                for p, c in a.items():
-                    cells = h[p]
-                    cells[c] = cells.get(c, 0) + 1
-            elif a or track_rep:
-                key = (a.get(0, 0), a.get(1, 0), r2)
-                h[key] = h.get(key, 0) + 1
+            w = (window + (v,))[-length:]
+            c = count + 1 if len(w) == length and _occurs_at(w, 0, links) else count
+            if c:
+                cells[c] = cells.get(c, 0) + 1
             if deeper:
                 if v == fresh:
-                    todo.append((depth, v, stack + (v,), w, a, r2))
+                    todo.append((depth, v, stack + (v,), w, c))
                 else:
-                    todo.append((depth, maximum, stack[: idx + 1], w, a, r2))
-    for level, count in zip(tables, nodes):
-        if separate:
-            for cells in level:
-                cells[0] = count - sum(cells.values())
-        elif not track_rep:
-            level[0, 0, 0] = count - sum(level.values())
+                    todo.append((depth, maximum, stack[: idx + 1], w, c))
+    for cells, total in zip(tables, nodes):
+        cells[0] = total - sum(cells.values())
     return tables
+
+
+def _walk_each(n_max: int, words: tuple[Letters, ...]) -> list:
+    """``_transfer``'s separate tables, tables[k][p][c], one walk per word."""
+    walks = [_walk(n_max, word) for word in words]
+    return [[walk[k] for walk in walks] for k in range(n_max + 1)]
 
 
 # A state of the transfer engine: (shape, k, r).  The letters that still
@@ -212,7 +189,13 @@ State = tuple[int, int, int]
 
 
 def _transfer(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
-    """The tables of ``_walk(mode, n_max, words)``, from a transfer matrix.
+    """Histogram tables of every size k <= n_max, from a transfer matrix.
+
+    "separate": tables[k][p][c] = number of size-k prefixes with c
+    occurrences of words[p].  "joint" and "rep": tables[k][(c0, c1, r)] =
+    number of size-k prefixes with c0 occurrences of words[0], c1 of
+    words[1] (0 if absent) and smallest repeated letter r ("rep" only; 0
+    when nothing repeats), nonzero cells only.
 
     Prefixes in the same state have the same futures, so the engine steps
     every state of one size to the next and carries, per state, how many
@@ -383,7 +366,7 @@ def _step_joint(weight: dict, out: list, nxt: dict) -> None:
 
 
 def _record(level: dict, n_words: int, mode: str):
-    """One size's table, in ``_walk``'s layout, from the states' weights."""
+    """One size's table, in ``_transfer``'s layout, from the states' weights."""
     if mode == "separate":
         table: list[dict[int, int]] = [{} for _ in range(n_words)]
         total = 0
@@ -401,14 +384,13 @@ def _record(level: dict, n_words: int, mode: str):
         v = r + 1 if mode == "rep" else 0
         for (c0, c1), m in weight.items():
             out[c0, c1, v] = out.get((c0, c1, v), 0) + m
-    if mode == "joint":  # like _walk's, the count-0 cell is always there
-        out.setdefault((0, 0, 0), 0)
     return out
 
 
-#: The row engines, by name: the transfer matrix serves every row by
-#: default; "brute" is the exhaustive prefix walk.
-_ENGINES = {"transfer": _transfer, "brute": _walk}
+#: The separate-row engines, by name, each (n_max, words) -> tables[k][p][c]:
+#: the transfer matrix serves every row by default; "brute" walks the prefix
+#: tree once per word.
+_ENGINES = {"transfer": functools.partial(_transfer, "separate"), "brute": _walk_each}
 
 # Tables keyed by (engine, mode, words); values are (n_max, tables[k] for
 # k <= n_max).
@@ -416,13 +398,15 @@ _CACHE: dict[tuple[str, str, tuple[Letters, ...]], tuple[int, list]] = {}
 
 
 def _tables(mode: str, n_max: int, words: tuple[Letters, ...], engine: str) -> list:
+    """``_transfer``'s tables, or ``_ENGINES[engine]``'s for "separate"."""
     key = (engine, mode, words)
     cached = _CACHE.get(key)
     if cached is not None and cached[0] >= n_max:
         return cached[1][: n_max + 1]
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}; engines: {', '.join(_ENGINES)}")
-    tables = _ENGINES[engine](mode, n_max, words)
+    build = _ENGINES[engine] if mode == "separate" else functools.partial(_transfer, mode)
+    tables = build(n_max, words)
     _CACHE[key] = (n_max, tables)
     return tables
 
@@ -462,7 +446,8 @@ def distribution_rows(
 def batch_distribution_rows(
     n_max: int, taus: Sequence[PatternLike], *, engine: str = "transfer"
 ) -> list[list[MultiPoly]]:
-    """Occurrence distributions for many patterns from one shared pass."""
+    """Occurrence distributions for many patterns: the transfer engine
+    serves the batch from one shared pass, "brute" walks once per word."""
     _check_size(n_max)
     words = tuple(as_pattern(t).word for t in taus)
     levels = _tables("separate", n_max, words, engine)

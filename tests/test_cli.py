@@ -116,7 +116,7 @@ def test_dist_out_of_memory_is_a_clean_error(capsys, monkeypatch):
     def out_of_memory(*args):
         raise MemoryError
 
-    # The engine table holds the walk function itself, so patch the entry.
+    # The engine table holds the batch walk itself, so patch the entry.
     monkeypatch.setitem(stats._ENGINES, "brute", out_of_memory)
     code, out, err = run_cli(
         capsys, "dist", "--pattern", "123214566578", "--n", "14", "--method", "brute"

@@ -330,22 +330,29 @@ def with_rep(tau):
     return lambda pi: (count_subword(pi, tau), 0, rep(pi) if len(pi) else 0)
 
 
+@pytest.mark.parametrize("engine", ["transfer", "brute"])
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 8), word_batches)
-def test_batch_rows_match_the_oracle(n, words):
-    rows = batch_distribution_rows(n, words)
+@given(n=st.integers(0, 8), words=word_batches)
+@example(n=5, words=[])
+def test_batch_rows_match_the_oracle(engine, n, words):
+    rows = batch_distribution_rows(n, words, engine=engine)
     assert rows == [oracle_rows(n, separate(word)) for word in words]
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 8), words_1_to_5, words_1_to_5, st.booleans())
+# Words up to length 8, so some come close to n and the engine's window
+# (the longest suffix that may still start an occurrence) grows long.
+words_1_to_8 = st.lists(st.integers(1, 5), min_size=1, max_size=8).map(_standard)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10), words_1_to_8, words_1_to_8, st.booleans())
 def test_joint_rows_match_the_oracle(n, tau1, tau2, same):
     tau2 = tau1 if same else tau2
     assert joint_rows(n, tau1, tau2) == oracle_rows(n, joint(tau1, tau2))
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 8), words_1_to_5)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10), words_1_to_8)
 def test_rep_joint_rows_match_the_oracle(n, tau):
     assert rep_joint_rows(n, tau) == oracle_rows(n, with_rep(tau))
 
@@ -376,9 +383,6 @@ def _letters(text):
     return tuple(int(c) for c in text)
 
 
-# Words up to length 8, so some come close to n and the engine's window
-# (the longest suffix that may still start an occurrence) grows long.
-words_1_to_8 = st.lists(st.integers(1, 5), min_size=1, max_size=8).map(_standard)
 long_batches = st.lists(words_1_to_8, min_size=1, max_size=6).flatmap(
     lambda ws: st.lists(st.sampled_from(ws), min_size=len(ws), max_size=len(ws) + 3)
 )
@@ -388,33 +392,17 @@ long_batches = st.lists(words_1_to_8, min_size=1, max_size=6).flatmap(
 @given(st.integers(0, 10), long_batches)
 def test_transfer_separate_tables_equal_the_walk(n, words):
     words = tuple(map(_letters, words))
-    assert stats._transfer("separate", n, words) == stats._walk("separate", n, words)
+    assert stats._transfer("separate", n, words) == stats._walk_each(n, words)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10), words_1_to_8, words_1_to_8, st.booleans())
-def test_transfer_joint_tables_equal_the_walk(n, tau1, tau2, same):
-    words = (_letters(tau1), _letters(tau1 if same else tau2))
-    assert stats._transfer("joint", n, words) == stats._walk("joint", n, words)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10), words_1_to_8)
-def test_transfer_rep_tables_equal_the_walk(n, tau):
-    words = (_letters(tau),)
-    assert stats._transfer("rep", n, words) == stats._walk("rep", n, words)
-
-
-def test_transfer_equals_the_walk_on_long_words_that_occur():
+def test_transfer_equals_the_walk_and_the_oracle_on_long_words_that_occur():
     # Factors of 122134435665 and 1232145665: each occurs in size-11
     # partitions, so long windows stay viable for many steps.
-    long8, long10, short = _letters("12213443"), _letters("1232145665"), (1, 2, 1)
-    for mode, words in [
-        ("separate", (long8, long10, short, long8)),
-        ("joint", (long8, long10)),
-        ("rep", (long10,)),
-    ]:
-        assert stats._transfer(mode, 11, words) == stats._walk(mode, 11, words)
+    long8, long10 = "12213443", "1232145665"
+    words = tuple(map(_letters, (long8, long10, "121", long8)))
+    assert stats._transfer("separate", 11, words) == stats._walk_each(11, words)
+    assert joint_rows(11, long8, long10) == oracle_rows(11, joint(long8, long10))
+    assert rep_joint_rows(11, long10) == oracle_rows(11, with_rep(long10))
 
 
 # Separate-mode states after 10 and 20 steps: the (shape, k) automaton
@@ -469,7 +457,7 @@ def test_the_brute_walk_keeps_only_its_path():
     long12 = _letters("123214566578")
     tracemalloc.start()
     try:
-        stats._walk("separate", 10, (long12,))
+        stats._walk(10, long12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
