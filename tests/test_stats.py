@@ -395,6 +395,17 @@ def test_transfer_separate_tables_equal_the_walk(n, words):
     assert stats._transfer("separate", n, words) == stats._walk_each(n, words)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10), words_1_to_8, words_1_to_8, st.sampled_from(["joint", "rep"]))
+def test_transfer_joint_and_rep_tables_hold_positive_cells_summing_to_catalan(
+    n, tau1, tau2, mode
+):
+    words = (_letters(tau1), _letters(tau2)) if mode == "joint" else (_letters(tau1),)
+    for k, table in enumerate(stats._transfer(mode, n, words)):
+        assert all(m > 0 for m in table.values())
+        assert sum(table.values()) == catalan(k)
+
+
 def test_transfer_equals_the_walk_and_the_oracle_on_long_words_that_occur():
     # Factors of 122134435665 and 1232145665: each occurs in size-11
     # partitions, so long windows stay viable for many steps.
