@@ -60,6 +60,7 @@ from .core import (
     StaircaseTail,
     NCPartition,
     SubwordPattern,
+    _chain_links,
     _check_size,
     as_pattern,
     catalan,
@@ -71,7 +72,7 @@ from .core import (
 )
 from .errors import NcpartError, UnsupportedFamily
 from .recurrence import recurrence_table, staircase_series_by_recurrence
-from .stats import count_subword
+from .stats import _occurrences
 
 __all__ = [
     "TABLE1_PATTERNS",
@@ -688,15 +689,21 @@ def _groups_equidistribution(order: int) -> list[dict]:
         (a, m, RunStaircase(a, m).pattern(), StaircaseTail(m, a).pattern())
         for a, m in ((2, 2), (2, 3), (3, 2))
     ]
+    # Each pattern's (length, chain links), resolved once for the sweep.
+    links = [
+        tuple((len(pattern.word), _chain_links(pattern.word)) for pattern in pair[2:])
+        for pair in pairs
+    ]
     # One sweep maps each partition once and checks every pair on its image.
     mismatches = [0] * len(pairs)
     for n in range(1, exchange_cap + 1):
         for pi in iter_nc(n):
-            image = map_descent_code(pi)
-            for p, (_, _, first, second) in enumerate(pairs):
-                if count_subword(pi, first) != count_subword(
-                    image, second
-                ) or count_subword(pi, second) != count_subword(image, first):
+            letters = pi.letters
+            image = map_descent_code(pi).letters
+            for p, (first, second) in enumerate(links):
+                if _occurrences(letters, *first) != _occurrences(
+                    image, *second
+                ) or _occurrences(letters, *second) != _occurrences(image, *first):
                     mismatches[p] += 1
     cells = []
     for (a, m, first, second), missed in zip(pairs, mismatches):

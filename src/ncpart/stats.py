@@ -12,8 +12,10 @@ produces the rows for every size up to the requested bound.
   which keeps long patterns cheap, and it holds the top letters, so a state
   is a window shape plus k open letters below it: the states grow linearly
   in the size (quadratically in "rep" mode).  Each call builds this
-  (shape, k) automaton, deriving each shape's moves once, and drops it
-  when it returns.
+  (shape, k) automaton, deriving each shape's moves once, and steps each
+  shape's weights over all k at once, k being a catalytic variable: the
+  move shared by every letter below the window is one running sum over k.
+  A weight packs its prefix counts into the cells of one int.
 - ``_walk`` (``engine="brute"``, the CLI's ``--method brute``) walks the
   prefix tree depth-first for one word, at O(C_n) per size; a batch walks
   once per word.  It is the exhaustive reference for the transfer engine's
@@ -24,7 +26,10 @@ produces the rows for every size up to the requested bound.
 from __future__ import annotations
 
 import functools
+import struct
 from collections.abc import Hashable
+from itertools import accumulate, compress
+from operator import add
 from typing import Sequence, Union
 
 from .algebra import MultiPoly
@@ -77,8 +82,13 @@ def _pattern_constraints(tau: Hashable) -> tuple[int, ChainLinks]:
 
 def count_subword(pi: PartitionLike, tau: PatternLike) -> int:
     """Number of windows of pi order-isomorphic to the pattern tau."""
-    letters = as_ncpartition(pi).letters
     length, links = _pattern_constraints(_param_key(tau))
+    return _occurrences(as_ncpartition(pi).letters, length, links)
+
+
+def _occurrences(letters: Sequence[int], length: int, links: ChainLinks) -> int:
+    """Number of windows of letters that satisfy the chain links of a word
+    of the given length; a sweep over one pattern resolves them once."""
     count = 0
     for start in range(len(letters) - length + 1):
         # core._occurs_at, inlined: a call per window costs about a third more.
@@ -176,7 +186,7 @@ def _walk_each(n_max: int, words: tuple[Letters, ...]) -> list:
     return [[walk[k] for walk in walks] for k in range(n_max + 1)]
 
 
-# A state of the transfer engine: (shape, k, r).  The letters that still
+# A state of the transfer engine is (shape, k, r).  The letters that still
 # matter are tokens in value order, "o" for an open letter and "c" for a
 # closed one inside the window, which is the longest suffix (at most L - 1
 # letters, L the longest word) that standardises to a proper prefix of a
@@ -184,8 +194,37 @@ def _walk_each(n_max: int, words: tuple[Letters, ...]) -> list:
 # holds the top tokens, so ``shape`` numbers, in this call's shape table,
 # (the tokens from the window's lowest up, the window's token indices
 # relative to that lowest), and ``k`` counts the open letters below it.
-# ``r`` is the token index of the smallest repeated letter (-1 if none).
-State = tuple[int, int, int]
+# ``r`` is the token index of the smallest repeated letter (-1 if none).  A
+# level keys each (shape, r) to its weights at k = 0, 1, ... (0: no prefix).
+Group = tuple[int, int]
+
+_CELL_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # ``struct`` codes by width
+
+#: Distinct windows whose standard form and next shape the transfer engine
+#: keeps across calls; windows are token indices, so patterns share them.
+_WINDOW_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_WINDOW_CACHE_SIZE)
+def _standard_form(window: Letters) -> Letters:
+    """``core._standardise`` of a window of token indices, memoised."""
+    return _standardise(window)
+
+
+@functools.lru_cache(maxsize=_WINDOW_CACHE_SIZE)
+def _shape_after(stepped: str, window: Letters) -> tuple[tuple[str, Letters], int]:
+    """The shape after a step and the open letters below its window, from
+    the tokens after the step and the indices of those the window keeps."""
+    tokens = ""
+    index = []
+    for i, kind in enumerate(stepped):
+        index.append(len(tokens))
+        if kind == "o" or i in window:
+            tokens += kind
+    bottom = index[min(window)] if window else len(tokens)
+    shape = (tokens[bottom:], tuple(index[i] - bottom for i in window))
+    assert set(shape[1]) == set(range(len(shape[0]))), "window not at the top"
+    return shape, bottom
 
 
 def _transfer(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
@@ -219,172 +258,170 @@ def _transfer(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
     ranks below the whole window, so the hits and the next shape do not
     depend on j; the letters between j and the window close and, being
     outside it, are dropped, so j open letters stay below the next window
-    (j + 1 if it is empty).  A state's successors are these moves shifted
-    by k, built once per state.
+    (j + 1 if it is empty).
 
-    "separate" states carry [prefix count, {p: {c > 0: mult}}], and each
-    count-0 cell is the engine's own prefix total minus the recorded cells.
-    "joint" and "rep" states carry {(c0, c1): mult}; "rep" records r + 1.
-    The shapes, their moves and every memo live only in this call.
+    So the engine steps each (shape, r) vector of weights over k once per
+    move of the shape.  A move up to window token or fresh letter i sends
+    the weight at k to k + bottom; the move below the window sends, for
+    each j, the prefixes of every k > j to j + bottom: one running sum from
+    the top k down, O(K) additions, not O(K^2) edges.  In "rep" mode the
+    open token k + i, or j, chosen below r is the new r.
+
+    A weight is one int with a ``width``-bit cell per count, wide enough for
+    C(n_max), the most a cell holds, so adding ints adds cells.  A word takes
+    ``span`` cells, up to its most possible occurrences: "separate" puts
+    (p, c) at p * span + c and the prefix count after them, "joint" and
+    "rep" put (c0, c1) at c0 * span + c1.  A hit moves cells up by a mask
+    and a shift.  Each size's prefix total is asserted to be C_k.  The
+    shapes and moves live only in this call; the standard forms and next
+    shapes of windows are memoised across calls.
     """
     separate = mode == "separate"
     track_rep = mode == "rep"
+    width = max(8, 1 << (catalan(n_max).bit_length() - 1).bit_length())
+    # A word of length L occurs at most n_max - L + 1 times.
+    span = max(1, n_max + 2 - min(map(len, words), default=n_max + 1))
+    block = width * span
     # length -> {word: its indices}: a word listed twice is hit twice.
     by_length: dict[int, dict[Letters, list[int]]] = {}
     for p, word in enumerate(words):
         by_length.setdefault(len(word), {}).setdefault(word, []).append(p)
-    # The standardised proper prefixes of the words; ``kept`` tries their
-    # lengths longest first.
-    starts = {_standardise(word[:m]) for word in words for m in range(1, len(word))}
+    # The standardised proper prefixes of the words, tried longest first.
+    starts = {_standard_form(word[:m]) for word in words for m in range(1, len(word))}
     lengths = sorted({len(start) for start in starts}, reverse=True)
     shapes: dict[tuple[str, Letters], int] = {("", ()): 0}
     shape_list = [("", ())]  # shape id -> (tokens, window)
-    moves: dict[int, tuple] = {}  # shape -> (moves at or above, move below)
-    fanout: dict[State, list] = {}  # state -> [(next state, hits)]
+    moves: dict[int, tuple] = {}  # shape id -> its moves
 
-    def kept(w: Letters) -> Letters:
-        """The longest suffix of w that standardises to a proper prefix of
-        a word: no letter before it can be part of a later occurrence."""
-        for m in lengths:
-            if m <= len(w) and _standardise(w[len(w) - m :]) in starts:
-                return w[len(w) - m :]
-        return ()
+    def hit_shift(hits: list[int]) -> tuple[int, int, int]:
+        """(keep, mask, shift): a weight w hit by the step becomes
+        (w & keep) | (w & mask) << shift."""
+        if not separate:
+            return 0, -1, width * (hits.count(0) * span + hits.count(1))
+        mask = 0
+        for p in hits:
+            mask |= (1 << block) - 1 << block * p
+        return ~mask, mask, width if hits else 0
 
     def move(stepped: str, w: Letters) -> tuple:
-        """(hits, next shape, open letters below its window) of the letter
-        ending w, a window of token indices into ``stepped``, the tokens
-        after the step.  The hits are the indices of the words a suffix of
-        w standardises to; in "joint" and "rep" mode, (hits on word 0, on
-        word 1)."""
-        hits = []
-        for length, table in by_length.items():
-            if length <= len(w):
-                hits += table.get(_standardise(w[len(w) - length :]), ())
-        window = kept(w)
-        tokens = ""
-        index = []
-        for i, kind in enumerate(stepped):
-            index.append(len(tokens))
-            if kind == "o" or i in window:
-                tokens += kind
-        bottom = index[min(window)] if window else len(tokens)
-        shape = (tokens[bottom:], tuple(index[i] - bottom for i in window))
-        assert set(shape[1]) == set(range(len(shape[0]))), "window not at the top"
+        """(keep, mask, shift, next shape, open letters below its window) of
+        the letter ending w, a window of token indices into ``stepped``, the
+        tokens after the step; it hits each word a suffix of w standardises
+        to."""
+        hits = [
+            p
+            for length, table in by_length.items()
+            if length <= len(w)
+            for p in table.get(_standard_form(w[-length:]), ())
+        ]
+        # The longest suffix of w that standardises to a proper prefix of a
+        # word: no letter before it can be part of a later occurrence.
+        kept = (w[-m:] for m in lengths if m <= len(w))
+        window = next((suffix for suffix in kept if _standard_form(suffix) in starts), ())
+        shape, bottom = _shape_after(stepped, window)
         sid = shapes.get(shape)
         if sid is None:
             sid = shapes[shape] = len(shape_list)
             shape_list.append(shape)
-        return hits if separate else (hits.count(0), hits.count(1)), sid, bottom
+        return *hit_shift(hits), sid, bottom
 
     def shape_moves(sid: int) -> tuple:
-        """A shape's moves, its window's bottom at 0: (i, *move) for the
-        fresh letter and each open window token i, and the one move of
-        every letter below the window."""
+        """A shape's moves, its window's bottom at 0, each (below, repeat,
+        *move): the fresh letter and each open window token i, then the one
+        move of every letter j below the window (below = True).  In "rep"
+        mode the letter chosen repeats when it is open token k + i, or j:
+        ``repeat`` is i, or 0 below the window; else it is None."""
         tokens, window = shape_list[sid]
         top = len(tokens)
-        up = [
-            (i, *move(tokens[:i] + "o" + "c" * (top - i - 1), window + (i,)))
+        out = tuple(
+            (False, i if track_rep and i < top else None)
+            + move(tokens[:i] + "o" + "c" * (top - i - 1), window + (i,))
             for i, kind in enumerate(tokens + "o")  # index top is the fresh letter
             if kind == "o"
-        ]
+        )
         below = move("o" + "c" * top, tuple(i + 1 for i in window) + (0,))
-        moves[sid] = up, below
-        return up, below
-
-    def fan(state: State) -> list:
-        """(next state, hits) for each letter that may follow the state,
-        lowest letter first."""
-        sid, k, r = state
-        up, (hits, sid2, bottom) = moves.get(sid) or shape_moves(sid)
-        top = k + up[-1][0]  # the fresh letter's token index
-        out = []
-        for j in range(k):
-            r2 = j if track_rep and (r < 0 or j < r) else r
-            out.append(((sid2, j + bottom, r2), hits))
-        for i, hits, sid2, bottom in up:
-            j = k + i
-            r2 = j if track_rep and j < top and (r < 0 or j < r) else r
-            out.append(((sid2, k + bottom, r2), hits))
-        fanout[state] = out
+        moves[sid] = out = out + ((True, 0 if track_rep else None) + below,)
         return out
 
-    level: dict = {(0, 0, -1): [1, {}] if separate else {(0, 0): 1}}
-    tables = [_record(level, len(words), mode)]
-    for _ in range(n_max):
-        nxt: dict = {}
-        for state, weight in level.items():
-            out = fanout.get(state) or fan(state)
-            if separate:
-                _step_separate(weight, out, nxt)
-            else:
-                _step_joint(weight, out, nxt)
-        level = nxt
-        tables.append(_record(level, len(words), mode))
+    # The empty prefix: every word at count 0, and one prefix.
+    first = ((1 << block * (len(words) + 1)) - 1) // ((1 << block) - 1) if separate else 1
+    level: dict[Group, list[int]] = {(0, -1): [first]}
+    tables = []
+    for size in range(n_max + 1):
+        if size:
+            level = _step(level, moves.get, shape_moves)
+        total, table = _record(level, len(words), mode, width, span)
+        assert total == catalan(size), f"size {size}: {total} prefixes"
+        tables.append(table)
     return tables
 
 
-def _step_separate(weight: list, out: list, nxt: dict) -> None:
-    """Add one state's [count, {p: {c > 0: mult}}] to each successor in
-    nxt, one count higher for each word the step hits."""
-    count, counts = weight
-    for state, hits in out:
-        target = nxt.get(state)
-        if target is None:
-            nxt[state] = target = [0, {}]
-        target[0] += count
-        into = target[1]
-        for p, cells in counts.items():
-            if p in hits:
-                continue
-            have = into.get(p)
-            if have is None:
-                into[p] = dict(cells)
-            else:
-                for c, m in cells.items():
-                    have[c] = have.get(c, 0) + m
-        for p in hits:
-            cells = counts.get(p, {})
-            have = into.setdefault(p, {})
-            zero = count - sum(cells.values())
-            if zero:
-                have[1] = have.get(1, 0) + zero
-            for c, m in cells.items():
-                have[c + 1] = have.get(c + 1, 0) + m
+def _step(level: dict, known, derive) -> dict:
+    """The next level: every (shape, r) vector of ``level`` stepped by each
+    of its shape's moves (``known(shape)`` or ``derive(shape)``)."""
+    nxt: dict[Group, list[int]] = {}
+    for (sid, r), weights in level.items():
+        # Below the window, letter j takes the prefixes of every k > j,
+        # summed from the top down.
+        above = list(accumulate(weights[:0:-1]))[::-1]
+        for below, repeat, keep, mask, shift, sid2, at in known(sid) or derive(sid):
+            moved = above if below else weights
+            if shift:
+                moved = [(w & keep) | (w & mask) << shift for w in moved]
+            if repeat is not None and (r < 0 or repeat < r):
+                # Open token j = k + repeat repeats; below r, it is the new r.
+                cut = len(moved) if r < 0 else min(len(moved), r - repeat)
+                for k in compress(range(cut), moved):
+                    vec = nxt.setdefault((sid2, k + repeat), [])
+                    if len(vec) <= k + at:
+                        vec += [0] * (k + at + 1 - len(vec))
+                    vec[k + at] += moved[k]
+                moved, at = moved[cut:], at + cut
+            if any(moved):
+                vec = nxt.get((sid2, r))
+                if vec is None:
+                    nxt[sid2, r] = [0] * at + moved
+                    continue
+                end = at + len(moved)
+                if len(vec) < end:
+                    vec += [0] * (end - len(vec))
+                vec[at:end] = map(add, vec[at:end], moved)
+    return nxt
 
 
-def _step_joint(weight: dict, out: list, nxt: dict) -> None:
-    """Add one state's {(c0, c1): mult} to each successor in nxt, shifted
-    by the step's hits on the two words."""
-    for state, (d0, d1) in out:
-        target = nxt.get(state)
-        if target is None:
-            nxt[state] = {(c0 + d0, c1 + d1): m for (c0, c1), m in weight.items()}
-            continue
-        for (c0, c1), m in weight.items():
-            key = (c0 + d0, c1 + d1)
-            target[key] = target.get(key, 0) + m
+def _cells(weight: int, width: int) -> Sequence[int]:
+    """The ``width``-bit cells of a weight, lowest first."""
+    count = -(-weight.bit_length() // width)
+    data = weight.to_bytes(count * width // 8, "little")
+    if width <= 64:
+        return struct.unpack(f"<{count}{_CELL_CODES[width]}", data)
+    cells = [data[i : i + width // 8] for i in range(0, len(data), width // 8)]
+    return [int.from_bytes(cell, "little") for cell in cells]
 
 
-def _record(level: dict, n_words: int, mode: str):
-    """One size's table, in ``_transfer``'s layout, from the states' weights."""
+def _record(level: dict, n_words: int, mode: str, width: int, span: int) -> tuple:
+    """The number of prefixes in a level, and its table in ``_transfer``'s
+    layout."""
     if mode == "separate":
-        table: list[dict[int, int]] = [{} for _ in range(n_words)]
-        total = 0
-        for count, counts in level.values():
-            total += count
-            for p, cells in counts.items():
-                row = table[p]
-                for c, m in cells.items():
-                    row[c] = row.get(c, 0) + m
-        for row in table:
-            row[0] = total - sum(row.values())
-        return table
+        cells = _cells(sum(map(sum, level.values())), width)
+        total = cells[n_words * span]
+        table = []
+        for start in range(0, n_words * span, span):
+            counts = cells[start : start + span]
+            # A word no prefix has yet, as most are in a batch's early sizes.
+            row = {} if counts[0] == total else dict(compress(enumerate(counts), counts))
+            row[0] = counts[0]
+            table.append(row)
+        return total, table
+    by_r: dict[int, int] = {}  # "joint" mode has r = -1 throughout
+    for (_, r), vec in level.items():
+        by_r[r] = by_r.get(r, 0) + sum(vec)
     out: dict[tuple[int, int, int], int] = {}
-    for (_, _, r), weight in level.items():
-        v = r + 1 if mode == "rep" else 0
-        for (c0, c1), m in weight.items():
-            out[c0, c1, v] = out.get((c0, c1, v), 0) + m
-    return out
+    for r, weight in by_r.items():
+        cells = _cells(weight, width)
+        for cell, m in compress(enumerate(cells), cells):
+            out[(*divmod(cell, span), r + 1)] = m
+    return sum(out.values()), out
 
 
 #: The separate-row engines, by name, each (n_max, words) -> tables[k][p][c]:
