@@ -5,10 +5,11 @@ Everything here is exact: an integral coefficient is stored as a plain
 ``int`` and only a non-integral one as a :class:`fractions.Fraction`, no
 floating point is ever used, and every division checks its own exactness.
 
-Series equations have one solver, :func:`solve_poly_functional` (Newton
-iteration with order doubling, each round checked by re-expanding the
-equation); :func:`series_sqrt` and :func:`solve_quadratic` are its
-degree-2 cases.
+Series equations have one solver, :func:`solve_poly_functional`, checked
+by re-expanding the equation at its answer; :func:`series_sqrt` and
+:func:`solve_quadratic` are its degree-2 cases.  Its one coefficient loop,
+``_solve_online``, fixes one x-power at a time, and :func:`series_div` is
+that loop's degree-1 case.
 """
 
 from __future__ import annotations
@@ -212,7 +213,7 @@ class MultiPoly:
         sc = self.as_constant()
         if sc is not None:
             return o.scale(sc)
-        return _product_sum({}, (self,), (o,), 0, 0)
+        return _product_sum({}, [((self,), (o,))], 0)
 
     __rmul__ = __mul__
 
@@ -513,7 +514,7 @@ class TruncatedSeries:
         n = min(self.order, other.order)
         a = self._coeffs
         b = other._coeffs
-        return TruncatedSeries([_product_sum({}, a, b, k, 0) for k in range(n)])
+        return TruncatedSeries([_product_sum({}, [(a, b)], k) for k in range(n)])
 
     __rmul__ = __mul__
 
@@ -559,28 +560,28 @@ class TruncatedSeries:
 
 def _product_sum(
     terms: dict[Exponents, Rational],
-    a: Sequence[MultiPoly],
-    b: Sequence[MultiPoly],
+    pairs: Iterable[tuple[Sequence[MultiPoly], Sequence[MultiPoly]]],
     k: int,
-    first: int,
 ) -> MultiPoly:
-    """``terms`` plus the sum of a[i] * b[k - i] over first <= i <= k: the
-    x^k coefficient of a convolution.  Every product is summed into the one
-    dict ``terms`` (which this consumes); zero terms are dropped and each
-    coefficient is put in canonical form once, at the end.
+    """``terms`` plus the sum over (a, b) in ``pairs`` of a[i] * b[k - i],
+    0 <= i <= k: the x^k coefficient of a sum of convolutions.  Every
+    product is summed into the one dict ``terms`` (which this consumes);
+    zero terms are dropped and each coefficient is put in canonical form
+    once, at the end.
 
     The only code that multiplies term dicts: a polynomial product is the
-    case ``k = 0`` with one-element sequences."""
+    case ``k = 0`` with one pair of one-element sequences."""
     get = terms.get
-    for i in range(first, k + 1):
-        p = a[i]._terms
-        q = b[k - i]._terms
-        if not p or not q:
-            continue
-        for (x1, y1, z1), c1 in p.items():
-            for (x2, y2, z2), c2 in q.items():
-                e = (x1 + x2, y1 + y2, z1 + z2)
-                terms[e] = get(e, 0) + c1 * c2
+    for a, b in pairs:
+        for i in range(k + 1):
+            p = a[i]._terms
+            q = b[k - i]._terms
+            if not p or not q:
+                continue
+            for (x1, y1, z1), c1 in p.items():
+                for (x2, y2, z2), c2 in q.items():
+                    e = (x1 + x2, y1 + y2, z1 + z2)
+                    terms[e] = get(e, 0) + c1 * c2
     return _poly_from_clean(
         {e: c if type(c) is int else _as_rational(c) for e, c in terms.items() if c}
     )
@@ -601,39 +602,19 @@ def _power(base: _Ring, exponent: int, one: _Ring) -> _Ring:
 
 
 def series_div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
-    """Exact quotient num/den, truncated to the smaller order.
+    """Exact quotient num/den, truncated to the smaller order: the degree-1
+    case den*Y - num = 0 of :func:`_solve_online`.
 
     The divisor's constant term must be a nonzero rational, or a single
-    monomial that divides exactly at every step of the long division
-    (each step's division is verified; an inexact step raises
-    :class:`NonInvertibleConstantTerm`).  The monomial case is live:
-    ``formulas.gf_1m(1)`` and ``formulas.gf_1m2(1)`` divide by a series
-    whose constant term is 2q.
+    monomial that divides exactly at every coefficient (each division is
+    verified; an inexact one raises :class:`NonInvertibleConstantTerm`).
+    The monomial case is live: ``formulas.gf_1m(1)`` and
+    ``formulas.gf_1m2(1)`` divide by a series whose constant term is 2q.
     """
     n = min(num.order, den.order)
-    a = num.truncate(n).coeffs
-    b = den.truncate(n).coeffs
-    c0 = b[0]
-    const = c0.as_constant()
-    if const is not None:
-        if not const:
-            raise NonInvertibleConstantTerm("divisor has zero constant term")
-        inverse = _as_rational(Fraction(1, const))
-    else:
-        monomial = c0.single_term()
-        if monomial is None:
-            raise NonInvertibleConstantTerm(
-                f"divisor constant term {c0} is neither a rational nor a monomial"
-            )
-    negated = [-c for c in b]
-    out: list[MultiPoly] = []
-    for k in range(n):
-        acc = _product_sum(dict(a[k]._terms), negated, out, k, 1)
-        if const is not None:
-            out.append(acc.scale(inverse))
-        else:
-            out.append(acc.divide_exact(c0))
-    return TruncatedSeries(out)
+    d0 = den.coeffs[0]
+    seed = num.coeffs[0].divide_exact(d0)
+    return _solve_online([[-c for c in num.coeffs[:n]], den.coeffs[:n]], seed, d0)
 
 
 def series_sqrt(s: TruncatedSeries) -> TruncatedSeries:
@@ -680,51 +661,68 @@ def solve_poly_functional(
     :func:`solve_quadratic` are its degree-2 cases.  A coefficient may be
     a series or a constant; the order is the smallest series order.
 
-    Newton iteration with order doubling.  Each round expands the defect
-    P(y) once, at the doubled order, and first requires it to vanish below
-    the order the previous round claimed; the final residual must vanish
-    at the full order.  Either failure raises :class:`NoConvergence`.  The
-    derivative at the seed must have a nonzero rational constant term,
-    otherwise :class:`SingularDerivative` is raised.
+    The derivative at the seed, sum_i i * coeffs[i](0) * y0^(i-1), must be
+    a nonzero rational, otherwise :class:`SingularDerivative` is raised.
+    The equation re-expanded at the answer of :func:`_solve_online` must
+    vanish at the full order, otherwise :class:`NoConvergence` is raised;
+    that loop fixes every x-power but the first, so this fails exactly
+    when y0 does not solve the equation at x^0.
     """
     n = min((c.order for c in coeffs if isinstance(c, TruncatedSeries)), default=0)
     if len(coeffs) < 2 or not n:
         raise ValueError("need degree >= 1 in Y and a series coefficient")
     P = [
-        c.truncate(n) if isinstance(c, TruncatedSeries) else MultiPoly.coerce(c)
+        c.truncate(n) if isinstance(c, TruncatedSeries) else TruncatedSeries.constant(c, n)
         for c in coeffs
     ]
-    dP = [P[i].scale(i) for i in range(1, len(P))]
-
-    y = TruncatedSeries.constant(y0, 1)
-    d0 = _horner(dP, y).coefficient(0)
+    seed = MultiPoly.coerce(y0)
+    d0 = sum((p.coeffs[0] * seed**i).scale(i + 1) for i, p in enumerate(P[1:]))
     if not d0.as_constant():
         raise SingularDerivative(f"derivative constant term at the seed is {d0}")
-    correct = 1
-    while correct < n:
-        target = min(2 * correct, n)
-        y = TruncatedSeries(y.coeffs + (MultiPoly.zero(),) * (target - correct))
-        defect = _horner(P, y)
-        gained = defect.valuation()
-        if gained is not None and gained < correct:
-            raise NoConvergence(
-                f"Newton iteration stalled at order {gained} (claimed {correct})"
-            )
-        y = y - series_div(defect, _horner(dP, y))
-        correct = target
+    y = _solve_online([c.coeffs for c in P], seed, d0)
     if not _horner(P, y).is_zero():
         raise NoConvergence("computed series does not satisfy the equation")
     return y
 
 
-def _horner(
-    parts: Sequence[Union[TruncatedSeries, MultiPoly]], y: TruncatedSeries
+def _solve_online(
+    P: Sequence[Sequence[MultiPoly]], seed: MultiPoly, d0: MultiPoly
 ) -> TruncatedSeries:
-    """sum_i parts[i] * y^i modulo x^(y.order), by Horner's rule."""
+    """The series Y with Y(0) = seed that solves sum_i P[i] * Y^i = 0, where
+    each P[i] lists the coefficients of a series, all to one order.
+
+    The one coefficient loop of this module, one x-power k at a time
+    (online, or relaxed, solving: J. van der Hoeven, "Relax, but don't be
+    too lazy", J. Symbolic Comput. 34 (2002)).  [x^k] of the sum is affine
+    in Y_k with slope d0 = sum_i i * P[i](0) * seed^(i-1), so Y_k is that
+    coefficient with Y_k = 0, divided by -d0 with
+    :meth:`MultiPoly.divide_exact`.  Each power Y^i, i >= 2, is kept one
+    coefficient at a time too: Y * Y^(i-1) with Y_k = 0, then given
+    i * seed^(i-1) * Y_k.  The x^0 equation is the caller's to check.
+    """
+    y = [seed]
+    powers = [y]  # powers[i - 1] lists the coefficients of Y^i known so far
+    slopes = []  # slopes[i - 2] = i * seed^(i-1)
+    for i in range(2, len(P)):
+        slopes.append(powers[-1][0].scale(i))
+        powers.append([powers[-1][0] * seed])
+    for k in range(1, len(P[0])):
+        y.append(_POLY_ZERO)
+        for lower, power in zip(powers, powers[1:]):
+            power.append(_product_sum({}, [(y, lower)], k))
+        rest = _product_sum(dict(P[0][k]._terms), zip(P[1:], powers), k)
+        y[k] = rest.divide_exact(-d0)
+        for slope, power in zip(slopes, powers[1:]):
+            power[k] = power[k] + y[k] * slope
+    return TruncatedSeries(y)
+
+
+def _horner(parts: Sequence[TruncatedSeries], y: TruncatedSeries) -> TruncatedSeries:
+    """sum_i parts[i] * y^i, by Horner's rule."""
     acc = parts[-1]
     for part in reversed(parts[:-1]):
         acc = y * acc + part
-    return TruncatedSeries.zero(y.order) + acc
+    return acc
 
 
 def catalan_series(order: int) -> TruncatedSeries:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import sys
@@ -483,8 +484,9 @@ _Q_MONO = MultiPoly.marker("q")
 
 def _groups_joint(order: int) -> list[dict]:
     cells = []
+    joint = functools.cache(lambda a, b: formulas.gf_joint_1a_1b2(a, b, order))
     for a, b in ((1, 1), (2, 1), (2, 2), (3, 2), (2, 3)):
-        series = formulas.gf_joint_1a_1b2(a, b, order)
+        series = joint(a, b)
         eq_a, eq_b, eq_c = formulas.joint_quadratic(a, b, order)
         cells.append(
             _zero_cell(
@@ -497,10 +499,8 @@ def _groups_joint(order: int) -> list[dict]:
             {"a": a, "b": b, "check": "coefficient"}, rows, series.coeffs
         )
     for m in (1, 2, 3, 4):
-        run_side = formulas.gf_joint_1a_1b2(m, 1, order).substitute(
-            q=1, p=_Q_MONO
-        )
-        ascent_side = formulas.gf_joint_1a_1b2(1, m, order).substitute(p=1)
+        run_side = joint(m, 1).substitute(q=1, p=_Q_MONO)
+        ascent_side = joint(1, m).substitute(p=1)
         cells.append(
             _zero_cell(
                 {"m": m, "check": "specialize-to-run"},

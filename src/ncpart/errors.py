@@ -60,11 +60,11 @@ class NoSeriesSolution(NcpartError):
 
 
 class SingularDerivative(NcpartError):
-    """Newton iteration cannot start: the derivative at the seed is not invertible."""
+    """A series equation's derivative at the seed is not a nonzero rational."""
 
 
 class NoConvergence(NcpartError):
-    """An iteration failed to gain the expected order of accuracy."""
+    """A computed series does not satisfy its equation (a wrong seed)."""
 
 
 class UnsupportedFamily(NcpartError):

@@ -258,7 +258,7 @@ def _staircase_kernel(m: int, a: int, order: int) -> list[TruncatedSeries]:
 
 def gf_staircase_tail(m: int, a: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Occurrence series (marker q) of the pattern 1 2 ... (m-1) m^a,
-    solved from its kernel equation by Newton iteration."""
+    solved from its kernel equation one coefficient at a time."""
     StaircaseTail(m, a)
     kernel = _staircase_kernel(m, a, order)
     return _check_combinatorial(solve_poly_functional(kernel, 1))

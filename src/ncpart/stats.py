@@ -279,8 +279,10 @@ def _transfer(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
     separate = mode == "separate"
     track_rep = mode == "rep"
     width = max(8, 1 << (catalan(n_max).bit_length() - 1).bit_length())
-    # A word of length L occurs at most n_max - L + 1 times.
-    span = max(1, n_max + 2 - min(map(len, words), default=n_max + 1))
+    # A word of length L occurs at most n_max - L + 1 times.  "rep" mode has
+    # one word, so its c1 is always 0 and a stride of one cell holds c0.
+    shortest = min(map(len, words), default=n_max + 1)
+    span = 1 if track_rep else max(1, n_max + 2 - shortest)
     block = width * span
     # length -> {word: its indices}: a word listed twice is hit twice.
     by_length: dict[int, dict[Letters, list[int]]] = {}

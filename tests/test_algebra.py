@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ncpart.algebra import (
@@ -311,8 +311,8 @@ def test_solver_error_classes():
         solve_quadratic(one, one, one)  # F(0) = 1 gives 1 - 1 + 1 != 0
     with pytest.raises(SingularDerivative):
         solve_poly_functional([TruncatedSeries.zero(6), 0, 1], 0)  # Y^2 = 0
-    # 1 - Y = 0 with the wrong seed Y(0) = 2: caught by the first round's
-    # defect check, and at order 1, where no round runs, by the residual.
+    # 1 - Y = 0 with the wrong seed Y(0) = 2: caught by the final residual
+    # check, at order 1 as at order 6.
     for order in (6, 1):
         with pytest.raises(NoConvergence):
             solve_poly_functional([TruncatedSeries.one(order), -1], 2)
@@ -399,6 +399,29 @@ def test_series_operations_store_canonical_coefficients(
     for result in results:
         for coeff in result.coeffs:
             assert _is_canonical(coeff), coeff
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 7),
+    rationals,
+    st.dictionaries(st.integers(1, 6), small_qp_polys, max_size=3),
+    st.lists(
+        st.tuples(
+            rationals, st.dictionaries(st.integers(1, 6), small_qp_polys, max_size=2)
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_solve_poly_functional_finds_a_planted_solution(order, y0, y_terms, parts):
+    # Y and P[1..d] drawn, then P[0] = -sum_i P[i] * Y^i: Y solves the
+    # equation of degree d, whose derivative at Y(0) must be invertible.
+    y = TruncatedSeries.from_x_poly({**y_terms, 0: y0}, order)
+    P = [TruncatedSeries.from_x_poly({**terms, 0: head}, order) for head, terms in parts]
+    assume(sum(i * Fraction(c) * Fraction(y0) ** (i - 1) for i, (c, _) in enumerate(parts, 1)))
+    p0 = -sum((p * y**i for i, p in enumerate(P, 1)), TruncatedSeries.zero(order))
+    assert solve_poly_functional([p0, *P], y0) == y
 
 
 @settings(max_examples=80, deadline=None)

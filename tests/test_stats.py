@@ -566,6 +566,10 @@ def test_transfer_rows_equal_the_closed_series_past_the_cap(family):
 def test_transfer_rows_equal_the_closed_series_at_n_40(family):
     series = transfer_series("separate", (family.pattern().word,), order=41)
     assert series == formulas.closed_series(family, 41)
+    if family == core.StaircaseTail(2, 2):
+        # Rep weights pack one cell per count, whatever the size.
+        rep = transfer_series("rep", (family.pattern().word,), order=41)
+        assert rep.substitute(v=2) == formulas.gf_staircase_joint_rep(2, 2, 41, 2)
 
 
 @settings(max_examples=6, deadline=None)
@@ -574,6 +578,12 @@ def test_transfer_rows_equal_the_closed_series_at_n_40(family):
 def test_transfer_joint_tables_equal_the_closed_joint_series(a, b):
     series = transfer_series("joint", ((1,) * a, (1,) * b + (2,)))
     assert series == formulas.gf_joint_1a_1b2(a, b, ORDER)
+
+
+def test_transfer_joint_table_equals_the_closed_joint_series_at_n_31():
+    # The joint quadratic solved to x^31, past every order the CLI serves.
+    series = transfer_series("joint", ((1, 1), (1, 1, 1, 2)), order=32)
+    assert series == formulas.gf_joint_1a_1b2(2, 3, 32)
 
 
 @settings(max_examples=6, deadline=None)
