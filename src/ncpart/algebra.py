@@ -291,6 +291,10 @@ class MultiPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # A constant equals its rational, so it hashes as that rational.
+        constant = self.as_constant()
+        if constant is not None:
+            return hash(constant)
         return hash(frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:

@@ -131,11 +131,11 @@ def _check_order(order: int, lo: int, hi: int) -> None:
 
 def _parse_range(text: str) -> tuple[int, int]:
     """Parse a size range: ``'2..9'`` or a single size ``'8'``."""
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
+    lo_text, dots, hi_text = text.partition("..")
+    try:
+        lo, hi = int(lo_text), int(hi_text if dots else lo_text)
+    except ValueError:
+        raise ValueError(f"invalid size range {text!r}") from None
     if lo < 0 or hi < lo:
         raise ValueError(f"invalid size range {text!r}")
     return lo, hi

@@ -2,7 +2,9 @@
 and their exact distributions as marker polynomials.
 
 The row functions never materialize the partitions, and one pass
-produces the rows for every size up to the requested bound.
+produces the rows for every size up to the requested bound.  The engines
+return those rows, one ``MultiPoly`` per size, built once from their
+nonzero cells and cached; the row functions hand out slices of them.
 
 - ``_transfer`` (``engine="transfer"``, the default) is a transfer matrix;
   a batch of patterns or a joint distribution takes one pass.  A prefix's
@@ -32,7 +34,7 @@ from itertools import accumulate, compress
 from operator import add
 from typing import Sequence, Union
 
-from .algebra import MultiPoly
+from .algebra import MultiPoly, _poly_from_clean
 from .core import (
     ChainLinks,
     NCPartition,
@@ -141,9 +143,9 @@ def descent_count(pi: PartitionLike) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _walk(n_max: int, word: Letters) -> list[dict[int, int]]:
-    """tables[k][c] = number of size-k prefixes (k <= n_max) with c
-    occurrences of word, from one depth-first walk of the prefix tree.
+def _walk(n_max: int, word: Letters) -> list[MultiPoly]:
+    """rows[k] (k <= n_max): the occurrences of word (marker q) over the
+    size-k prefixes, from one depth-first walk of the prefix tree.
 
     A node carries its count and hits the word when its trailing window
     satisfies the word's chain links (``core._occurs_at``); the walk keeps
@@ -177,13 +179,7 @@ def _walk(n_max: int, word: Letters) -> list[dict[int, int]]:
                     todo.append((depth, maximum, stack[: idx + 1], w, c))
     for cells, total in zip(tables, nodes):
         cells[0] = total - sum(cells.values())
-    return tables
-
-
-def _walk_each(n_max: int, words: tuple[Letters, ...]) -> list:
-    """``_transfer``'s separate tables, tables[k][p][c], one walk per word."""
-    walks = [_walk(n_max, word) for word in words]
-    return [[walk[k] for walk in walks] for k in range(n_max + 1)]
+    return [_poly_from_clean({(c, 0, 0): m for c, m in t.items() if m}) for t in tables]
 
 
 # A state of the transfer engine is (shape, k, r).  The letters that still
@@ -228,13 +224,13 @@ def _shape_after(stepped: str, window: Letters) -> tuple[tuple[str, Letters], in
 
 
 def _transfer(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
-    """Histogram tables of every size k <= n_max, from a transfer matrix.
+    """The rows of every size k <= n_max, from a transfer matrix: one list
+    of rows (rows[k] over the size-k prefixes) per marginal.
 
-    "separate": tables[k][p][c] = number of size-k prefixes with c
-    occurrences of words[p].  "joint" and "rep": tables[k][(c0, c1, r)] =
-    number of size-k prefixes with c0 occurrences of words[0], c1 of
-    words[1] (0 if absent) and smallest repeated letter r ("rep" only; 0
-    when nothing repeats), nonzero cells only.
+    "separate": one list per word, words[p]'s occurrences marked by q.
+    "joint": one list, words[0]'s occurrences marked by p and words[1]'s by
+    q.  "rep": one list, words[0]'s occurrences marked by q and the
+    smallest repeated letter by v (exponent 0 when nothing repeats).
 
     Prefixes in the same state have the same futures, so the engine steps
     every state of one size to the next and carries, per state, how many
@@ -348,14 +344,14 @@ def _transfer(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
     # The empty prefix: every word at count 0, and one prefix.
     first = ((1 << block * (len(words) + 1)) - 1) // ((1 << block) - 1) if separate else 1
     level: dict[Group, list[int]] = {(0, -1): [first]}
-    tables = []
+    by_size = []
     for size in range(n_max + 1):
         if size:
             level = _step(level, moves.get, shape_moves)
-        total, table = _record(level, len(words), mode, width, span)
+        total, rows = _record(level, len(words), mode, width, span)
         assert total == catalan(size), f"size {size}: {total} prefixes"
-        tables.append(table)
-    return tables
+        by_size.append(rows)
+    return [list(rows) for rows in zip(*by_size)]
 
 
 def _step(level: dict, known, derive) -> dict:
@@ -402,56 +398,61 @@ def _cells(weight: int, width: int) -> Sequence[int]:
 
 
 def _record(level: dict, n_words: int, mode: str, width: int, span: int) -> tuple:
-    """The number of prefixes in a level, and its table in ``_transfer``'s
-    layout."""
+    """The number of prefixes in a level, and its row of each of
+    ``_transfer``'s marginals, built from the nonzero cells."""
     if mode == "separate":
         cells = _cells(sum(map(sum, level.values())), width)
         total = cells[n_words * span]
-        table = []
+        exps = [(c, 0, 0) for c in range(span)]
+        rows = []
         for start in range(0, n_words * span, span):
             counts = cells[start : start + span]
             # A word no prefix has yet, as most are in a batch's early sizes.
-            row = {} if counts[0] == total else dict(compress(enumerate(counts), counts))
-            row[0] = counts[0]
-            table.append(row)
-        return total, table
+            whole = counts[0] == total
+            terms = {exps[0]: total} if whole else dict(compress(zip(exps, counts), counts))
+            rows.append(_poly_from_clean(terms))
+        return total, rows
     by_r: dict[int, int] = {}  # "joint" mode has r = -1 throughout
     for (_, r), vec in level.items():
         by_r[r] = by_r.get(r, 0) + sum(vec)
-    out: dict[tuple[int, int, int], int] = {}
+    terms: dict[tuple[int, int, int], int] = {}
     for r, weight in by_r.items():
         cells = _cells(weight, width)
         for cell, m in compress(enumerate(cells), cells):
-            out[(*divmod(cell, span), r + 1)] = m
-    return sum(out.values()), out
+            c0, c1 = divmod(cell, span)
+            terms[(c1, c0, 0) if mode == "joint" else (c0, 0, r + 1)] = m
+    return sum(terms.values()), [_poly_from_clean(terms)]
 
 
-#: The separate-row engines, by name, each (n_max, words) -> tables[k][p][c]:
-#: the transfer matrix serves every row by default; "brute" walks the prefix
-#: tree once per word.
-_ENGINES = {"transfer": functools.partial(_transfer, "separate"), "brute": _walk_each}
+#: The separate-row engines, by name, each (n_max, words) -> one list of
+#: rows per word: the transfer matrix serves every row by default; "brute"
+#: walks the prefix tree once per word.
+_ENGINES = {
+    "transfer": functools.partial(_transfer, "separate"),
+    "brute": lambda n_max, words: [_walk(n_max, word) for word in words],
+}
 
-# Tables keyed by (engine, mode, words); values are (n_max, tables[k] for
-# k <= n_max).
+# Rows keyed by (engine, mode, words); values are (n_max, one list of rows
+# per marginal, each holding rows[k] for k <= n_max).
 _CACHE: dict[tuple[str, str, tuple[Letters, ...]], tuple[int, list]] = {}
 
 
-def _tables(mode: str, n_max: int, words: tuple[Letters, ...], engine: str) -> list:
-    """``_transfer``'s tables, or ``_ENGINES[engine]``'s for "separate"."""
+def _rows(mode: str, n_max: int, words: tuple[Letters, ...], engine: str) -> list:
+    """``_transfer``'s rows, or ``_ENGINES[engine]``'s for "separate", cut
+    to sizes 0..n_max: fresh lists on every call, so a caller may change
+    them without changing the cache."""
     key = (engine, mode, words)
     cached = _CACHE.get(key)
-    if cached is not None and cached[0] >= n_max:
-        return cached[1][: n_max + 1]
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; engines: {', '.join(_ENGINES)}")
-    build = _ENGINES[engine] if mode == "separate" else functools.partial(_transfer, mode)
-    tables = build(n_max, words)
-    _CACHE[key] = (n_max, tables)
-    return tables
+    if cached is None or cached[0] < n_max:
+        if engine not in _ENGINES:
+            raise ValueError(f"unknown engine {engine!r}; engines: {', '.join(_ENGINES)}")
+        build = _ENGINES[engine] if mode == "separate" else functools.partial(_transfer, mode)
+        cached = _CACHE[key] = (n_max, build(n_max, words))
+    return [rows[: n_max + 1] for rows in cached[1]]
 
 
 # ---------------------------------------------------------------------------
-# Distribution tables
+# Distribution rows
 # ---------------------------------------------------------------------------
 
 
@@ -489,21 +490,14 @@ def batch_distribution_rows(
     serves the batch from one shared pass, "brute" walks once per word."""
     _check_size(n_max)
     words = tuple(as_pattern(t).word for t in taus)
-    levels = _tables("separate", n_max, words, engine)
-    return [
-        [MultiPoly({(c, 0, 0): m for c, m in level[p].items()}) for level in levels]
-        for p in range(len(words))
-    ]
+    return _rows("separate", n_max, words, engine)
 
 
 def joint_rows(n_max: int, tau1: PatternLike, tau2: PatternLike) -> list[MultiPoly]:
     """Joint distributions: tau1 marked by p, tau2 marked by q."""
     _check_size(n_max)
     words = (as_pattern(tau1).word, as_pattern(tau2).word)
-    return [
-        MultiPoly({(c2, c1, 0): mult for (c1, c2, _), mult in table.items()})
-        for table in _tables("joint", n_max, words, "transfer")
-    ]
+    return _rows("joint", n_max, words, "transfer")[0]
 
 
 def rep_joint_rows(n_max: int, tau: PatternLike) -> list[MultiPoly]:
@@ -511,7 +505,7 @@ def rep_joint_rows(n_max: int, tau: PatternLike) -> list[MultiPoly]:
     letter marked by v (exponent 0 when nothing repeats)."""
     _check_size(n_max)
     words = (as_pattern(tau).word,)
-    return [MultiPoly(table) for table in _tables("rep", n_max, words, "transfer")]
+    return _rows("rep", n_max, words, "transfer")[0]
 
 
 def distribution(n: int, tau: PatternLike) -> MultiPoly:

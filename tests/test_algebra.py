@@ -57,6 +57,15 @@ def test_constructors_and_equality():
     assert MultiPoly.coerce(Fraction(1, 2)) * 2 == MultiPoly.one()
 
 
+@pytest.mark.parametrize("value", [0, 3, -2, Fraction(1, 2)], ids=str)
+def test_a_constant_hashes_as_the_rational_it_equals(value):
+    poly = MultiPoly.const(value)
+    assert poly == value and hash(poly) == hash(value)
+    assert len({poly, value}) == 1
+    assert {value: "x"}.get(poly) == "x"
+    assert {poly: "x"}.get(value) == "x"
+
+
 def test_arithmetic_identities():
     assert (Q + 1) * (Q - 1) == Q * Q - 1
     assert (Q + P) * (Q + P) == Q**2 + Q * P * 2 + P**2

@@ -116,7 +116,7 @@ def test_dist_out_of_memory_is_a_clean_error(capsys, monkeypatch):
     def out_of_memory(*args):
         raise MemoryError
 
-    # The engine table holds the batch walk itself, so patch the entry.
+    # The engine table holds the per-word walks itself, so patch the entry.
     monkeypatch.setitem(stats._ENGINES, "brute", out_of_memory)
     code, out, err = run_cli(
         capsys, "dist", "--pattern", "123214566578", "--n", "14", "--method", "brute"
@@ -349,6 +349,10 @@ def test_equivclasses_bounds(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run_cli(capsys, "equivclasses", "--len", "3", "--n", "2..17")
     assert code == 2 and err.startswith("error:") and "Traceback" not in err
+    for text in ("2..", "a..3"):
+        code, out, err = run_cli(capsys, "equivclasses", "--len", "3", "--n", text)
+        assert code == 2 and out == ""
+        assert err.strip() == f"error: invalid size range {text!r}"
 
 
 def test_equivclasses_reaches_past_size_ten(capsys):

@@ -374,6 +374,37 @@ def test_cached_rows_equal_fresh_rows(n, up, words):
         assert rep_joint_rows(size, first) == oracle_rows(size, with_rep(first))
 
 
+@pytest.mark.parametrize(
+    "rows_of",
+    [
+        lambda: distribution_rows(6, "1213"),
+        lambda: distribution_rows(6, "1213", engine="brute"),
+        lambda: batch_distribution_rows(6, ["11", "121", "11"]),
+        lambda: batch_distribution_rows(6, ["11", "121"], engine="brute"),
+        lambda: joint_rows(6, "11", "121"),
+        lambda: rep_joint_rows(6, "122"),
+    ],
+    ids=["rows", "brute-rows", "batch", "brute-batch", "joint", "rep"],
+)
+def test_callers_may_change_the_lists_they_are_served(rows_of):
+    # The cache hands out slices of its rows; popping a served list, from a
+    # cold call or a warm one, must leave every later answer whole.
+    def pop_every_list(rows):
+        for inner in rows:
+            if isinstance(inner, list):
+                inner.pop()
+        rows.pop()
+
+    stats._CACHE.clear()
+    cold = rows_of()
+    expected = [list(r) if isinstance(r, list) else r for r in cold]
+    pop_every_list(cold)
+    warm = rows_of()
+    assert warm == expected
+    pop_every_list(warm)
+    assert rows_of() == expected
+
+
 # ---------------------------------------------------------------------------
 # The transfer engine against the exhaustive walk
 # ---------------------------------------------------------------------------
@@ -390,20 +421,34 @@ long_batches = st.lists(words_1_to_8, min_size=1, max_size=6).flatmap(
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10), long_batches)
-def test_transfer_separate_tables_equal_the_walk(n, words):
+def test_transfer_separate_rows_equal_the_walk(n, words):
     words = tuple(map(_letters, words))
-    assert stats._transfer("separate", n, words) == stats._walk_each(n, words)
+    assert stats._transfer("separate", n, words) == [stats._walk(n, w) for w in words]
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10), words_1_to_8, words_1_to_8, st.sampled_from(["joint", "rep"]))
-def test_transfer_joint_and_rep_tables_hold_positive_cells_summing_to_catalan(
-    n, tau1, tau2, mode
-):
-    words = (_letters(tau1), _letters(tau2)) if mode == "joint" else (_letters(tau1),)
-    for k, table in enumerate(stats._transfer(mode, n, words)):
-        assert all(m > 0 for m in table.values())
-        assert sum(table.values()) == catalan(k)
+@given(
+    st.integers(0, 10),
+    words_1_to_8,
+    words_1_to_8,
+    st.sampled_from(["separate", "joint", "rep", "brute"]),
+)
+def test_engine_rows_hold_positive_int_cells_summing_to_catalan(n, tau1, tau2, mode):
+    # Rows skip MultiPoly's normalisation, so a stored zero or a non-int
+    # count would make equal polynomials compare unequal.
+    words = (_letters(tau1),) if mode == "rep" else (_letters(tau1), _letters(tau2))
+    if mode == "brute":
+        marginals = [stats._walk(n, word) for word in words]
+    else:
+        marginals = stats._transfer(mode, n, words)
+    assert len(marginals) == (2 if mode in ("separate", "brute") else 1)
+    for rows in marginals:
+        assert len(rows) == n + 1
+        for k, row in enumerate(rows):
+            coeffs = [m for _, m in row.items()]
+            assert all(type(m) is int and m > 0 for m in coeffs)
+            assert sum(coeffs) == catalan(k)
+            assert MultiPoly(dict(row.items())) == row
 
 
 def test_transfer_equals_the_walk_and_the_oracle_on_long_words_that_occur():
@@ -411,7 +456,7 @@ def test_transfer_equals_the_walk_and_the_oracle_on_long_words_that_occur():
     # partitions, so long windows stay viable for many steps.
     long8, long10 = "12213443", "1232145665"
     words = tuple(map(_letters, (long8, long10, "121", long8)))
-    assert stats._transfer("separate", 11, words) == stats._walk_each(11, words)
+    assert stats._transfer("separate", 11, words) == [stats._walk(11, w) for w in words]
     assert joint_rows(11, long8, long10) == oracle_rows(11, joint(long8, long10))
     assert rep_joint_rows(11, long10) == oracle_rows(11, with_rep(long10))
 
@@ -530,16 +575,8 @@ families = st.one_of(
 
 
 def transfer_series(mode, words, order=ORDER):
-    """The engine's tables to size order - 1 as a series, each table turned
-    into a row as the public row functions turn it."""
-    tables = stats._transfer(mode, order - 1, words)
-    if mode == "separate":
-        rows = [MultiPoly({(c, 0, 0): m for c, m in t[0].items()}) for t in tables]
-    elif mode == "joint":
-        rows = [MultiPoly({(c2, c1, 0): m for (c1, c2, _), m in t.items()}) for t in tables]
-    else:
-        rows = [MultiPoly(t) for t in tables]
-    return TruncatedSeries(rows)
+    """The engine's rows of its first marginal to size order - 1 as a series."""
+    return TruncatedSeries(stats._transfer(mode, order - 1, words)[0])
 
 
 @settings(max_examples=50, deadline=None)
