@@ -746,5 +746,6 @@ def catalan_series(order: int) -> TruncatedSeries:
         values.append(sum(values[i] * values[n - 1 - i] for i in range(n)))
     by_recurrence = TruncatedSeries([MultiPoly.const(v) for v in values])
 
-    assert by_radical == by_recurrence, "catalan series cross-check failed"
+    if by_radical != by_recurrence:
+        raise AssertionError("catalan series cross-check failed")
     return by_recurrence

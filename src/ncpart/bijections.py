@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Hashable
-from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .core import (
+    _CANONICAL_NC,
     ChainLinks,
     Letters,
     NCPartition,
@@ -47,6 +47,7 @@ from .core import (
     _chain_links,
     _occurs_at,
     _param_key,
+    _scan_canonical_nc,
     as_ncpartition,
     as_pattern,
     classify_pattern,
@@ -79,8 +80,7 @@ _PARAM_CACHE_SIZE = 256
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class TauString:
+class TauString(NamedTuple):
     """An occurrence window found by the exchange scan: the half-open
     span [start, end) and which of the two patterns it realizes
     (kind 0 = first pattern, kind 1 = second)."""
@@ -102,21 +102,23 @@ def _coerce_rho_tail(value: Union[RhoTail, PatternLike]) -> RhoTail:
     return family
 
 
+#: What :func:`map_f` exchanges: the two pattern words of the shape
+#: (rho+1)1, then their chain links.
+ExchangeWords = tuple[Letters, Letters, ChainLinks, ChainLinks]
+
+
 @functools.lru_cache(maxsize=_PARAM_CACHE_SIZE)
-def _exchange_words(
-    tau: Hashable, tau2: Hashable
-) -> tuple[Letters, Letters, ChainLinks, ChainLinks]:
+def _exchange_words(tau: Hashable, tau2: Hashable) -> ExchangeWords:
     """The two validated pattern words :func:`map_f` exchanges, then their
     chain links: the pair checks of :func:`_equiv_plan`, with neither
     pattern needing a reduction.  A word of the shape (rho+1)1 determines
     its family, so equal words mean equal families."""
-    _, lift1, reduced1, reduced2, lift2 = _equiv_plan(tau, tau2)
+    _, lift1, exchange, lift2 = _equiv_plan(tau, tau2)
     if lift1 is not None or lift2 is not None:
         raise FamilyViolation(
             "the window exchange needs trailing-run length 1 on both patterns"
         )
-    word1, word2 = reduced1.pattern().word, reduced2.pattern().word
-    return word1, word2, _chain_links(word1), _chain_links(word2)
+    return exchange
 
 
 def _scan_strings(
@@ -153,7 +155,8 @@ def _convert_window(
     shift down) or new letters are created just above M = max(prefix
     maximum, u_s) (values above M shift up).  Every structural claim this
     relies on is asserted."""
-    window = w[start : start + length]
+    end = start + length
+    window = w[start:end]
     v = window[-1]
     distinct = sorted(set(window))
     if distinct[0] != v:
@@ -166,44 +169,39 @@ def _convert_window(
             raise AssertionError(
                 "the window's fresh letters are not consecutive values"
             )
+    before, after = w[:start], w[end:]
     if t <= s:
         vals = [v] + us[:t]
         removed = set(us[t:])
         threshold = us[-1]
-        delta = t - s
-        for pos, letter in enumerate(w):
-            inside = start <= pos < start + length
-            if letter in removed and not inside:
+        for letter in before:
+            if letter in removed:
                 raise AssertionError(
                     "letters slated for removal occur outside the window"
                 )
-            if letter > threshold and pos < start:
+            if letter > threshold:
                 raise AssertionError(
                     "letters above the window's top occur before it"
                 )
+        if not removed.isdisjoint(after):
+            raise AssertionError(
+                "letters slated for removal occur outside the window"
+            )
     else:
-        prefix_max = max(w[:start], default=0)
-        base = max(prefix_max, us[-1])
+        base = max(max(before, default=0), us[-1])
         vals = [v] + us + list(range(base + 1, base + 1 + (t - s)))
         threshold = base
-        delta = t - s
-        for pos, letter in enumerate(w):
-            if letter > threshold and pos < start + length:
-                raise AssertionError(
-                    "letters above the new-letter base occur at or before "
-                    "the window"
-                )
-    replacement = [vals[r - 1] for r in target_word]
-    out = w[:start] + replacement + w[start + length :]
+        if max(w[:end]) > threshold:
+            raise AssertionError(
+                "letters above the new-letter base occur at or before "
+                "the window"
+            )
+    delta = t - s
     if delta:
-        for pos in range(len(out)):
-            if start <= pos < start + length:
-                continue
-            if out[pos] > threshold:
-                if pos < start:
-                    raise AssertionError("letters to shift must follow the window")
-                out[pos] += delta
-    return out
+        if max(before, default=0) > threshold:
+            raise AssertionError("letters to shift must follow the window")
+        after = [letter + delta if letter > threshold else letter for letter in after]
+    return before + [vals[r - 1] for r in target_word] + after
 
 
 def map_f(
@@ -218,37 +216,42 @@ def map_f(
     tau2-occurrences of the output and vice versa; the first and last
     positions of every occurrence window are preserved.
     """
-    word1, word2, links1, links2 = _exchange_words(_param_key(tau), _param_key(tau2))
-    partition = as_ncpartition(pi)
+    exchange = _exchange_words(_param_key(tau), _param_key(tau2))
+    return _exchange(as_ncpartition(pi), exchange)
+
+
+def _exchange(partition: NCPartition, exchange: ExchangeWords) -> NCPartition:
+    """The kernel of :func:`map_f`, on resolved parameters.
+
+    Each window is rewritten in turn; after each rewrite the word must be
+    canonical non-crossing and the window set must be the base set with
+    the windows rewritten so far exchanged (after the last rewrite, every
+    window: the final check)."""
+    word1, word2, links1, links2 = exchange
     if word1 == word2:
         return partition
     length = len(word1)
-    w = list(partition.letters)
-    base = _scan_strings(w, length, links1, links2)
+    base = _scan_strings(partition.letters, length, links1, links2)
     if not base:
         return partition
     words = (word1, word2)
-    for i in range(len(base)):
-        current = _scan_strings(w, length, links1, links2)
-        expected = [
-            TauString(b.start, b.end, b.kind ^ 1 if j < i else b.kind)
-            for j, b in enumerate(base)
-        ]
-        if current != expected:
-            raise AssertionError(
-                "the occurrence-window set failed to persist across rewrites"
-            )
-        target = words[base[i].kind ^ 1]
-        w = _convert_window(w, base[i].start, length, target)
-        if not is_canonical_nc(w):
+    w = list(partition.letters)
+    expected = list(base)
+    last = len(base) - 1
+    for i, (start, end, kind) in enumerate(base):
+        w = _convert_window(w, start, length, words[kind ^ 1])
+        if _scan_canonical_nc(w) != _CANONICAL_NC:
             raise AssertionError(
                 "intermediate word is not a canonical non-crossing sequence"
             )
-    final = _scan_strings(w, length, links1, links2)
-    expected = [TauString(b.start, b.end, b.kind ^ 1) for b in base]
-    if final != expected:
+        expected[i] = TauString(start, end, kind ^ 1)
+        if i < last and _scan_strings(w, length, links1, links2) != expected:
+            raise AssertionError(
+                "the occurrence-window set failed to persist across rewrites"
+            )
+    if _scan_strings(w, length, links1, links2) != expected:
         raise AssertionError("final occurrence-window set is not fully exchanged")
-    return NCPartition(tuple(w))
+    return NCPartition._checked(tuple(w))
 
 
 # ---------------------------------------------------------------------------
@@ -259,40 +262,48 @@ def map_f(
 #: block that follows the run (empty for a trailing run).
 Link = tuple[int, int, Letters]
 
+#: A string parser: ``parse(w, p)`` is None or (end, links).  The maps
+#: bind their resolved parameters first with ``functools.partial``.
+Parser = Callable[[Letters, int], Union[tuple[int, list[Link]], None]]
 
-def _reverse_runs(
-    w: Sequence[int],
-    parse: Callable[..., tuple[int, list[Link]] | None],
-    *params: object,
-) -> NCPartition:
+
+def _reverse_runs(w: Letters, parse: Parser) -> NCPartition:
     """Reverse the run lengths inside every string ``parse`` finds.
 
-    ``parse(w, p, *params)`` returns None when no string starts at p,
+    ``parse(w, p)`` returns None when no string starts at p,
     else ``(end, links)`` for the string on [p, end).  Scanning left to
     right, each string is rewritten with its letters and blocks in place
-    and its run lengths reversed.  Asserted: a string that does not start
-    where the previous one ended starts run-maximally on the left, and
-    its links span it exactly; the result is re-validated in full."""
-    out = list(w)
-    p = 0
-    prev_end = 0
-    while p < len(w):
-        found = parse(w, p, *params)
+    and its run lengths reversed; the output is written as the scan goes,
+    and a one-link string, which reversal leaves as it is, is copied.
+    Asserted: a string that does not start where the previous one ended
+    starts run-maximally on the left, and its links span it exactly; the
+    result is re-validated in full."""
+    out: Letters = ()
+    copied = 0  # out holds the rewritten w[:copied]
+    p = prev_end = 0
+    n = len(w)
+    while p < n:
+        found = parse(w, p)
         if found is None:
             p += 1
             continue
         end, links = found
         if p > prev_end and w[p - 1] == w[p]:
             raise AssertionError("string start is not run-maximal on the left")
-        seq: list[int] = []
-        for (letter, _, block), (_, run, _) in zip(links, reversed(links)):
-            seq.extend([letter] * run)
-            seq.extend(block)
-        if len(seq) != end - p:
-            raise AssertionError("run reversal changed the string length")
-        out[p:end] = seq
+        if len(links) == 1:
+            _, run, block = links[0]
+            if run + len(block) != end - p:
+                raise AssertionError("run reversal changed the string length")
+        else:
+            seq: Letters = ()
+            for (letter, _, block), (_, run, _) in zip(links, reversed(links)):
+                seq += (letter,) * run + block
+            if len(seq) != end - p:
+                raise AssertionError("run reversal changed the string length")
+            out += w[copied:p] + seq
+            copied = end
         p = prev_end = end
-    return NCPartition(tuple(out))
+    return NCPartition._checked(out + w[copied:])
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +312,10 @@ def _reverse_runs(
 
 
 @functools.lru_cache(maxsize=_PARAM_CACHE_SIZE)
-def _chain_params(sigma: Hashable) -> ChainLinks:
-    """Validate the chain-block suffix sigma; return the chain links every
-    (u,)+block of a chain must satisfy, those of 2·sigma shifted down by 1.
+def _chain_params(sigma: Hashable) -> Parser:
+    """Validate the chain-block suffix sigma; return :func:`_parse_chain`
+    bound to the chain links every (u,)+block of a chain must satisfy,
+    those of 2·sigma shifted down by 1.
 
     2·sigma must be a non-crossing word on {2, 3, ...} (that is, sigma
     shifted down by 1 and prefixed by 1 must be canonical), and sigma
@@ -322,11 +334,11 @@ def _chain_params(sigma: Hashable) -> ChainLinks:
             f"2+sigma does not shift down to a canonical non-crossing word: "
             f"{(2,) + parsed}"
         )
-    return _chain_links(shifted)
+    return functools.partial(_parse_chain, _chain_links(shifted))
 
 
 def _parse_chain(
-    w: Sequence[int], p: int, target: ChainLinks
+    target: ChainLinks, w: Letters, p: int
 ) -> tuple[int, list[Link]] | None:
     """Parse the maximal descending chain starting at position p.
 
@@ -351,14 +363,16 @@ def _parse_chain(
     msig = len(target)  # one link per letter of sigma
     links: list[Link] = []
     pos = p
+    above = w[p] + 1  # every link's letter is below the previous one
     while pos < n:
         u = w[pos]
-        if links and u >= links[-1][0]:
+        if u >= above:
             break
-        run = 1
-        while pos + run < n and w[pos + run] == u:
-            run += 1
-        after = pos + run
+        above = u
+        after = pos + 1
+        while after < n and w[after] == u:
+            after += 1
+        run = after - pos
         if msig == 0:
             links.append((u, run, ()))
             pos = after
@@ -367,7 +381,7 @@ def _parse_chain(
         if after + msig <= n and _occurs_at(w, after - 1, target):
             nxt = after + msig
             if nxt == n or w[nxt] < u:
-                links.append((u, run, tuple(w[after:nxt])))
+                links.append((u, run, w[after:nxt]))
                 pos = nxt
                 continue
         if links:
@@ -390,8 +404,8 @@ def map_g(pi: PartitionLike, sigma: PatternLike, b: int) -> NCPartition:
     """
     if int(b) < 2:
         raise FamilyViolation("the trailing-run length b must be at least 2")
-    target = _chain_params(_param_key(sigma))
-    return _reverse_runs(as_ncpartition(pi).letters, _parse_chain, target)
+    parse = _chain_params(_param_key(sigma))
+    return _reverse_runs(as_ncpartition(pi).letters, parse)
 
 
 def map_equiv(
@@ -402,29 +416,28 @@ def map_equiv(
     """Exchange occurrences of two equal-length patterns of the shape
     (rho+1)1^b, by reducing each to its trailing-run-1 form with
     :func:`map_g`, exchanging with :func:`map_f`, and lifting back."""
-    same, lift1, reduced1, reduced2, lift2 = _equiv_plan(
-        _param_key(tau), _param_key(tau2)
-    )
+    same, lift1, exchange, lift2 = _equiv_plan(_param_key(tau), _param_key(tau2))
     partition = as_ncpartition(pi)
     if same:
         return partition
-    current = partition
     if lift1 is not None:
-        current = map_g(current, *lift1)
-    current = map_f(current, reduced1, reduced2)
+        partition = _reverse_runs(partition.letters, lift1)
+    partition = _exchange(partition, exchange)
     if lift2 is not None:
-        current = map_g(current, *lift2)
-    return current
+        partition = _reverse_runs(partition.letters, lift2)
+    return partition
 
 
 @functools.lru_cache(maxsize=_PARAM_CACHE_SIZE)
 def _equiv_plan(
     tau: Hashable, tau2: Hashable
-) -> tuple[bool, tuple[Letters, int] | None, RhoTail, RhoTail, tuple[Letters, int] | None]:
-    """The steps of :func:`map_equiv` for one pattern pair: whether the
-    families are equal, the (sigma, b) of the map_g reducing the first
-    pattern (None when b = 1), the two trailing-run-1 forms map_f
-    exchanges, and the (sigma, b) of the map_g lifting back."""
+) -> tuple[bool, Parser | None, ExchangeWords, Parser | None]:
+    """The steps of :func:`map_equiv` for one pattern pair, resolved for
+    the kernels: whether the families are equal, the chain parser of the
+    map_g reducing the first pattern (None when b = 1), what map_f
+    exchanges between the two trailing-run-1 forms, and the chain parser
+    of the map_g lifting back.  A reduction's sigma is rho[1:] lifted;
+    its b (the pattern's, >= 2) only names the exchanged pair."""
     fam1 = _coerce_rho_tail(tau)
     fam2 = _coerce_rho_tail(tau2)
     len1 = len(fam1.rho) + fam1.b
@@ -439,12 +452,14 @@ def _equiv_plan(
             return fam
         return RhoTail((1,) * fam.b + fam.rho[1:], 1)
 
-    def lift(fam: RhoTail) -> tuple[Letters, int] | None:
+    def lift(fam: RhoTail) -> Parser | None:
         if fam.b == 1:
             return None
-        return tuple(v + 1 for v in fam.rho[1:]), fam.b
+        return _chain_params(tuple(v + 1 for v in fam.rho[1:]))
 
-    return fam1 == fam2, lift(fam1), reduced(fam1), reduced(fam2), lift(fam2)
+    word1, word2 = reduced(fam1).pattern().word, reduced(fam2).pattern().word
+    exchange = (word1, word2, _chain_links(word1), _chain_links(word2))
+    return fam1 == fam2, lift(fam1), exchange, lift(fam2)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +468,7 @@ def _equiv_plan(
 
 
 def _parse_runstring(
-    w: Sequence[int], p: int, rho_links: ChainLinks
+    rho_links: ChainLinks, w: Letters, p: int
 ) -> tuple[int, list[Link]] | None:
     """Parse the maximal string x^{i_1} A_1 x^{i_2} ... A_r x^{i_{r+1}}
     starting at p: every A_j order-isomorphic to rho (whose chain links
@@ -466,43 +481,45 @@ def _parse_runstring(
     links: list[Link] = []
     pos = p
     while True:
-        run = 1
-        while pos + run < n and w[pos + run] == x:
-            run += 1
-        pos += run
-        if pos + m >= n or w[pos + m] != x:
+        run_start = pos
+        pos += 1
+        while pos < n and w[pos] == x:
+            pos += 1
+        close = pos + m
+        if close >= n or w[close] != x:
             break
-        block = tuple(w[pos : pos + m])
+        block = w[pos:close]
         if not _occurs_at(w, pos, rho_links) or min(block) <= x:
             break
-        links.append((x, run, block))
-        pos += m
+        links.append((x, pos - run_start, block))
+        pos = close
     if not links:
         return None
-    links.append((x, run, ()))
+    links.append((x, pos - run_start, ()))
     return pos, links
 
 
 def _maximal_runstring(
-    w: Sequence[int], p: int, rho_links: ChainLinks
+    rho_links: ChainLinks, w: Letters, p: int
 ) -> tuple[int, list[Link]] | None:
     """:func:`_parse_runstring`, asserting that no string starting inside
     the one found reaches past its end."""
-    found = _parse_runstring(w, p, rho_links)
+    found = _parse_runstring(rho_links, w, p)
     if found is not None:
         for q in range(p + 1, found[0]):
-            probe = _parse_runstring(w, q, rho_links)
+            probe = _parse_runstring(rho_links, w, q)
             if probe is not None and probe[0] > found[0]:
                 raise AssertionError("maximal run strings are not disjoint")
     return found
 
 
 @functools.lru_cache(maxsize=_PARAM_CACHE_SIZE)
-def _runrev_rho(rho: Hashable, a: int, b: int) -> ChainLinks:
-    """The chain links of rho, once a, rho and b pass Sandwich validation."""
+def _runrev_rho(rho: Hashable, a: int, b: int) -> Parser:
+    """:func:`_maximal_runstring` bound to the chain links of rho, once a,
+    rho and b pass Sandwich validation."""
     rho_word = as_pattern(rho).word
     Sandwich(int(a), rho_word, int(b))
-    return _chain_links(rho_word)
+    return functools.partial(_maximal_runstring, _chain_links(rho_word))
 
 
 def map_runrev(
@@ -516,8 +533,8 @@ def map_runrev(
     statistic pair (any a, b >= 1).  A string's trailing run is maximal,
     so one starting where the previous one ended cannot continue a run:
     the kernel's left-maximality check covers every string start."""
-    rho_links = _runrev_rho(_param_key(rho), a, b)
-    return _reverse_runs(as_ncpartition(pi).letters, _maximal_runstring, rho_links)
+    parse = _runrev_rho(_param_key(rho), a, b)
+    return _reverse_runs(as_ncpartition(pi).letters, parse)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +542,11 @@ def map_runrev(
 # ---------------------------------------------------------------------------
 
 
-def descent_code(pi: PartitionLike) -> tuple[Letters, tuple[Letters, ...]]:
+#: A descent code: the section bottoms, then each section's code.
+DescentCode = tuple[Letters, tuple[Letters, ...]]
+
+
+def descent_code(pi: PartitionLike) -> DescentCode:
     """Encode a nonempty partition as (section bottoms, section codes).
 
     The word splits at descents into maximal weakly increasing sections;
@@ -535,20 +556,24 @@ def descent_code(pi: PartitionLike) -> tuple[Letters, tuple[Letters, ...]]:
     partition = as_ncpartition(pi)
     if len(partition) == 0:
         raise EmptyPartition("the empty partition has no descent code")
-    letters = partition.letters
+    return _descent_code(partition.letters)
+
+
+def _descent_code(letters: Letters) -> DescentCode:
+    """:func:`descent_code` of the letters of a nonempty partition."""
     bottoms = [letters[0]]
     codes: list[Letters] = []
-    bits: list[int] = []
+    code: Letters = ()
     for prev, nxt in zip(letters, letters[1:]):
         if nxt > prev:
-            bits.append(1)
+            code += (1,)
         elif nxt == prev:
-            bits.append(0)
+            code += (0,)
         else:
-            codes.append(tuple(bits))
-            bits = []
+            codes.append(code)
+            code = ()
             bottoms.append(nxt)
-    codes.append(tuple(bits))
+    codes.append(code)
     return tuple(bottoms), tuple(codes)
 
 
@@ -568,24 +593,25 @@ def decode_descent_code(
     if bottoms[0] != 1:
         raise ValueError("the first section must start at 1")
     out: list[int] = []
-    maximum = 0
+    maximum = last = 0
     for start, code in zip(bottoms, codes):
         start = int(start)
-        if out and start >= out[-1]:
+        if out and start >= last:
             raise ValueError("every section bottom must descend")
         if start > maximum + 1:
             raise ValueError("section bottom skips unused letters")
         out.append(start)
-        maximum = max(maximum, start)
+        last = start
+        if start > maximum:
+            maximum = start
         for bit in code:
             if bit == 1:
                 maximum += 1
-                out.append(maximum)
-            elif bit == 0:
-                out.append(out[-1])
-            else:
+                last = maximum
+            elif bit != 0:
                 raise ValueError("code bits must be 0 or 1")
-    return NCPartition(tuple(out))
+            out.append(last)
+    return NCPartition._checked(tuple(out))
 
 
 def map_descent_code(pi: PartitionLike) -> NCPartition:
@@ -596,11 +622,11 @@ def map_descent_code(pi: PartitionLike) -> NCPartition:
     a, m >= 2 simultaneously; sections keep their sets of distinct
     letters, so ascent tops and block count are preserved."""
     partition = as_ncpartition(pi)
-    if len(partition) == 0:
+    if not partition.letters:
         raise EmptyPartition("the empty partition has no descent code")
-    bottoms, codes = descent_code(partition)
+    bottoms, codes = _descent_code(partition.letters)
     flipped = tuple(code[::-1] for code in codes)
     result = decode_descent_code(bottoms, flipped)
-    if descent_code(result) != (bottoms, flipped):
+    if _descent_code(result.letters) != (bottoms, flipped):
         raise AssertionError("descent-code round trip failed")
     return result

@@ -611,7 +611,8 @@ def _groups_refined(order: int) -> list[dict]:
             top = n - a + 1
             by_rep: dict[int, MultiPoly] = {}
             for (eq, ep, ev), coeff in rows[n].items():
-                assert ep == 0
+                if ep != 0:
+                    raise AssertionError("a rep row has a nonzero p exponent")
                 term = MultiPoly({(eq, 0, 0): coeff})
                 by_rep[ev] = by_rep.get(ev, MultiPoly.zero()) + term
             boundary = sum(
@@ -915,8 +916,15 @@ _HANDLERS: dict[str, Callable[[argparse.Namespace], int]] = {
 }
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser :func:`entry` uses in this process.  Parsing leaves
+    no state behind: each call fills a fresh namespace."""
+    return build_parser()
+
+
 def entry(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.subcommand](_checked(args))
     except (NcpartError, ValueError, OverflowError) as exc:

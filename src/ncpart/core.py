@@ -115,16 +115,20 @@ def _scan_canonical_nc(letters: Letters) -> int:
     maximum = 0
     crossing = False
     for v in letters:
-        if v == maximum + 1:
+        if v > maximum:
+            if v != maximum + 1:
+                return _NOT_RGS
             stack.append(v)
             maximum = v
-        elif v < 1 or v > maximum:
+        elif v < 1:
             return _NOT_RGS
         elif not crossing:
             # v recurs; it must still be open.  The stack holds 1 here.
-            while stack[-1] > v:
+            top = stack[-1]
+            while top > v:
                 stack.pop()
-            crossing = stack[-1] != v
+                top = stack[-1]
+            crossing = top != v
     return _CROSSING if crossing else _CANONICAL_NC
 
 
@@ -178,7 +182,7 @@ class CanonicalSeq:
         values = _letters_of(letters)
         if not is_restricted_growth(values):
             raise ValueError(f"not a restricted growth string: {values!r}")
-        object.__setattr__(self, "letters", values)
+        _set_letters(self, values)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -215,6 +219,22 @@ class CanonicalSeq:
         return f"{type(self).__name__}({self.text!r})"
 
 
+#: Store the one slot directly through its member descriptor (the class
+#: forbids attribute assignment).
+_set_letters = CanonicalSeq.letters.__set__
+_new = object.__new__
+
+
+def _check_canonical_nc(letters: Letters) -> None:
+    """Raise the ValueError of a word that is not a canonical non-crossing
+    sequence: the check of :class:`NCPartition`."""
+    status = _scan_canonical_nc(letters)
+    if status == _NOT_RGS:
+        raise ValueError(f"not a restricted growth string: {letters!r}")
+    if status == _CROSSING:
+        raise ValueError(f"sequence has a crossing: {letters!r}")
+
+
 class NCPartition(CanonicalSeq):
     """The canonical sequence of a non-crossing set partition."""
 
@@ -222,18 +242,16 @@ class NCPartition(CanonicalSeq):
 
     def __init__(self, letters: SequenceLike) -> None:
         values = _letters_of(letters)
-        status = _scan_canonical_nc(values)
-        if status == _NOT_RGS:
-            raise ValueError(f"not a restricted growth string: {values!r}")
-        if status == _CROSSING:
-            raise ValueError(f"sequence has a crossing: {values!r}")
-        object.__setattr__(self, "letters", values)
+        _check_canonical_nc(values)
+        _set_letters(self, values)
 
     @classmethod
-    def _trusted(cls, letters: Letters) -> "NCPartition":
-        """Wrap letters known valid by construction (internal fast path)."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "letters", letters)
+    def _checked(cls, letters: Letters) -> "NCPartition":
+        """Validate and wrap an int tuple the package built itself: one
+        scan, no coercion, the errors of ``NCPartition(letters)``."""
+        _check_canonical_nc(letters)
+        obj = _new(cls)
+        _set_letters(obj, letters)
         return obj
 
     @property
@@ -252,7 +270,7 @@ def as_ncpartition(value: SequenceLike) -> NCPartition:
     """Coerce text, raw letters, or an existing partition to NCPartition."""
     if isinstance(value, NCPartition):
         return value
-    return NCPartition(_letters_of(value))
+    return NCPartition(value)
 
 
 def catalan(n: int) -> int:
@@ -305,20 +323,23 @@ def iter_nc(n: int) -> Iterator[NCPartition]:
     """
     _check_size(n)
     if n == 0:
-        yield NCPartition._trusted(())
+        yield NCPartition._checked(())
         return
-    trusted = NCPartition._trusted
+    new, set_letters, cls = _new, _set_letters, NCPartition
+    last = n - 1
     # Prefixes still to extend, depth-first: (letters, letters that may
     # repeat, largest letter).  Children are pushed largest first so that
-    # they pop in lexicographic order; the last letter is yielded directly.
+    # they pop in lexicographic order.  The last letter is yielded directly,
+    # each leaf wrapped without a check: it is valid by construction.
     todo: list[tuple[Letters, Letters, int]] = [((), (), 0)]
     while todo:
         letters, stack, maximum = todo.pop()
         fresh = maximum + 1
-        if len(letters) == n - 1:
-            for v in stack:
-                yield trusted(letters + (v,))
-            yield trusted(letters + (fresh,))
+        if len(letters) == last:
+            for v in stack + (fresh,):
+                leaf = new(cls)
+                set_letters(leaf, letters + (v,))
+                yield leaf
             continue
         todo.append((letters + (fresh,), stack + (fresh,), fresh))
         for idx in range(len(stack) - 1, -1, -1):

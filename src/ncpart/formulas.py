@@ -390,7 +390,8 @@ def _total(shift: int, count: Callable[[PatternFamily, int], int]) -> TotalForm:
 
 def _staircase_count(fam: PatternFamily, r: int) -> int:
     numerator = math.comb(2 * r + fam.m, r) * r
-    assert numerator % (2 * r + fam.m) == 0, "staircase total is not integral"
+    if numerator % (2 * r + fam.m):
+        raise AssertionError("staircase total is not integral")
     return numerator // (2 * r + fam.m)
 
 

@@ -219,7 +219,8 @@ def _shape_after(stepped: str, window: Letters) -> tuple[tuple[str, Letters], in
             tokens += kind
     bottom = index[min(window)] if window else len(tokens)
     shape = (tokens[bottom:], tuple(index[i] - bottom for i in window))
-    assert set(shape[1]) == set(range(len(shape[0]))), "window not at the top"
+    if set(shape[1]) != set(range(len(shape[0]))):
+        raise AssertionError("window not at the top")
     return shape, bottom
 
 
@@ -349,7 +350,8 @@ def _transfer(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
         if size:
             level = _step(level, moves.get, shape_moves)
         total, rows = _record(level, len(words), mode, width, span)
-        assert total == catalan(size), f"size {size}: {total} prefixes"
+        if total != catalan(size):
+            raise AssertionError(f"size {size}: {total} prefixes")
         by_size.append(rows)
     return [list(rows) for rows in zip(*by_size)]
 

@@ -429,44 +429,101 @@ def test_large_partitions_exchange_and_involution(pi):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "apply,digest",
-    [
-        (lambda pi: map_f(pi, "231", "221"),
-         "98d6ff52bd66c5979f0ca3ef39aa792d18b90de8109cdfc1cd7faba010841ee1"),
-        (lambda pi: map_f(pi, "2221", "2341"),
-         "bcfedb01989b72daa4a14d09fc9271b5b755e4a2fe308886a4bdf04aa3cb4182"),
-        (lambda pi: map_g(pi, "", 2),
-         "739e8893105b022ce3335c034ea326635171b2cbcda3cb6d4bbe03737ae6dd58"),
-        (lambda pi: map_g(pi, "3", 2),
-         "e8de8dbb57beb8a66a8f95eebc115065d29619ff7f8df3bd3d31356efb435cf3"),
-        (lambda pi: map_g(pi, "", 3),
-         "739e8893105b022ce3335c034ea326635171b2cbcda3cb6d4bbe03737ae6dd58"),
-        (lambda pi: map_g(pi, "32", 2),
-         "251535ca76f91d453668000bf524c12375f1d28c731d39ea70cebce7ae1f210c"),
-        (lambda pi: map_equiv(pi, "211", "221"),
-         "739e8893105b022ce3335c034ea326635171b2cbcda3cb6d4bbe03737ae6dd58"),
-        (lambda pi: map_equiv(pi, "211", "231"),
-         "bb2254f29fe81e553c89dcffcd3c99039255e0cd14da017106e8e5cfd5762166"),
-        (lambda pi: map_runrev(pi, 1, "1", 2),
-         "652849176079fc25b9dad4c7eb79d734e9790311a9a75d5c12a64de6bab9f1be"),
-        (lambda pi: map_runrev(pi, 2, "1", 1),
-         "652849176079fc25b9dad4c7eb79d734e9790311a9a75d5c12a64de6bab9f1be"),
-        (map_descent_code,
-         "46c1d7d5732b5c04b70a230c961fced21830aa3a9c8ae8589d2407015505c693"),
-    ],
-    ids=["f-231-221", "f-2221-2341", "g--2", "g-3-2", "g--3", "g-32-2",
-         "equiv-211-221", "equiv-211-231", "runrev-1-1-2", "runrev-2-1-1",
-         "descent-code"],
-)
-def test_images_match_their_pinned_digests(apply, digest):
-    """Every image of every partition of size 1-8, under the parameter
-    sets of criterion 10 and two more of map_g (b = 3, and a two-letter
-    sigma), hashed in enumeration order as "1,2,2,1;"."""
+#: The parameter sets of criterion 10 and two more of map_g (b = 3, and a
+#: two-letter sigma).
+_IMAGE_MAPS = {
+    "f-231-221": lambda pi: map_f(pi, "231", "221"),
+    "f-2221-2341": lambda pi: map_f(pi, "2221", "2341"),
+    "g--2": lambda pi: map_g(pi, "", 2),
+    "g-3-2": lambda pi: map_g(pi, "3", 2),
+    "g--3": lambda pi: map_g(pi, "", 3),
+    "g-32-2": lambda pi: map_g(pi, "32", 2),
+    "equiv-211-221": lambda pi: map_equiv(pi, "211", "221"),
+    "equiv-211-231": lambda pi: map_equiv(pi, "211", "231"),
+    "runrev-1-1-2": lambda pi: map_runrev(pi, 1, "1", 2),
+    "runrev-2-1-1": lambda pi: map_runrev(pi, 2, "1", 1),
+    "descent-code": map_descent_code,
+}
+
+#: SHA-256 of every image, hashed in enumeration order as "1,2,2,1;": of
+#: the partitions of sizes 1-8 together, of size 9 and of size 10.  Sizes 9
+#: and 10 reach the longer chains and the words with several map_f windows.
+_PINNED_DIGESTS = {
+    "f-231-221": (
+        "98d6ff52bd66c5979f0ca3ef39aa792d18b90de8109cdfc1cd7faba010841ee1",
+        "62d23bb413169a4b50b2f51e9fcf4c8ce01eda37cf71e0494185d7b950c4e8dc",
+        "b895983b77edf6e295ddbb4a5c178cbb65a7c78dcb88d0b63d12d832e4d53631",
+    ),
+    "f-2221-2341": (
+        "bcfedb01989b72daa4a14d09fc9271b5b755e4a2fe308886a4bdf04aa3cb4182",
+        "accae7bacef7ef18f5c450d65a46f83e091929074fb595d16e2f5e333c17e228",
+        "a39e9598ccc085254cd05d24236d9ce9bdbc34455e1e74c5003c67e6e33a5da2",
+    ),
+    "g--2": (
+        "739e8893105b022ce3335c034ea326635171b2cbcda3cb6d4bbe03737ae6dd58",
+        "cd6a451f2dffd15f03a7eba5a5cf87c8d3167e13fba7d72824757d2c7daabc32",
+        "bb7f49e52759a8fa4642aa4978b0585cc98855e9ec6ece0cdbcfe2a22fc6dc3e",
+    ),
+    "g-3-2": (
+        "e8de8dbb57beb8a66a8f95eebc115065d29619ff7f8df3bd3d31356efb435cf3",
+        "08260e7c795207e01f84be149e071a2f6a453ba07eb00c1e0717fc9abd73c087",
+        "fa1633c56aa68aa83bd3d096009d1ebf2f2fdf04c0033b0288b648d4973191c0",
+    ),
+    "g--3": (
+        "739e8893105b022ce3335c034ea326635171b2cbcda3cb6d4bbe03737ae6dd58",
+        "cd6a451f2dffd15f03a7eba5a5cf87c8d3167e13fba7d72824757d2c7daabc32",
+        "bb7f49e52759a8fa4642aa4978b0585cc98855e9ec6ece0cdbcfe2a22fc6dc3e",
+    ),
+    "g-32-2": (
+        "251535ca76f91d453668000bf524c12375f1d28c731d39ea70cebce7ae1f210c",
+        "66302774b75e30f24c9e01c3e473b12f9cc93cf8f396b4a96f569805b52c3f43",
+        "a63ff2624e419826927612f47a883c370072d049d5bb4d9bd695f6cdd307ae75",
+    ),
+    "equiv-211-221": (
+        "739e8893105b022ce3335c034ea326635171b2cbcda3cb6d4bbe03737ae6dd58",
+        "cd6a451f2dffd15f03a7eba5a5cf87c8d3167e13fba7d72824757d2c7daabc32",
+        "bb7f49e52759a8fa4642aa4978b0585cc98855e9ec6ece0cdbcfe2a22fc6dc3e",
+    ),
+    "equiv-211-231": (
+        "bb2254f29fe81e553c89dcffcd3c99039255e0cd14da017106e8e5cfd5762166",
+        "664dad13aff7607f08a4f346e6c18ceab20c8304fc511a9c3927acb1442cdfdf",
+        "c4c97a66f0bc8de20a811fca9fe9a94078ebe713ee3ad36faf2362905e7eca80",
+    ),
+    "runrev-1-1-2": (
+        "652849176079fc25b9dad4c7eb79d734e9790311a9a75d5c12a64de6bab9f1be",
+        "747f44fc9b41b2ea1f470c32cf875c1bdd1d550a11b594363e903e843b165518",
+        "aa1859f96af05ef12eaa19ce47e97f129fa9ed4aa0283a1fff0a68c3fb84e401",
+    ),
+    "runrev-2-1-1": (
+        "652849176079fc25b9dad4c7eb79d734e9790311a9a75d5c12a64de6bab9f1be",
+        "747f44fc9b41b2ea1f470c32cf875c1bdd1d550a11b594363e903e843b165518",
+        "aa1859f96af05ef12eaa19ce47e97f129fa9ed4aa0283a1fff0a68c3fb84e401",
+    ),
+    "descent-code": (
+        "46c1d7d5732b5c04b70a230c961fced21830aa3a9c8ae8589d2407015505c693",
+        "96084a64fe5d34f875437e7fc62dbfaf7276792714a28e10b6663f47ec4dfe7f",
+        "e37f3fa8983a95fa02d509f9630d836ced1c10c02220994e19c216c566ba735d",
+    ),
+}
+
+
+def _image_digest(apply, sizes):
     h = hashlib.sha256()
-    for pi in _all_nc(8):
-        h.update((",".join(map(str, apply(pi).letters)) + ";").encode())
-    assert h.hexdigest() == digest
+    for n in sizes:
+        for pi in iter_nc(n):
+            h.update((",".join(map(str, apply(pi).letters)) + ";").encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", list(_IMAGE_MAPS))
+def test_images_match_their_pinned_digests(name):
+    assert _image_digest(_IMAGE_MAPS[name], range(1, 9)) == _PINNED_DIGESTS[name][0]
+
+
+@pytest.mark.parametrize("n", [9, 10])
+@pytest.mark.parametrize("name", list(_IMAGE_MAPS))
+def test_images_at_sizes_9_and_10_match_their_pinned_digests(name, n):
+    assert _image_digest(_IMAGE_MAPS[name], [n]) == _PINNED_DIGESTS[name][n - 8]
 
 
 def test_no_map_standardises(monkeypatch):
@@ -530,3 +587,53 @@ def test_descent_code_map_is_the_run_reversal_of_sections():
 def test_run_reversal_kernel_asserts_its_structure(word, parse):
     with pytest.raises(AssertionError):
         bijections._reverse_runs(word, parse)
+
+
+# ---------------------------------------------------------------------------
+# Every structural check fires when its claim is broken
+# ---------------------------------------------------------------------------
+
+# Occurrence windows of 231 at 1, 5, 9 and of 221 at 11.
+_MANY_WINDOWS = (1, 2, 3, 1, 1, 4, 5, 1, 6, 7, 8, 6, 6, 1, 9)
+
+
+@pytest.mark.parametrize(
+    "word,rewrite,message",
+    [
+        # a rewrite that changes nothing: the next rescan still finds the
+        # first window unexchanged
+        (_MANY_WINDOWS, lambda w, start, length, target: list(w),
+         "failed to persist"),
+        # the same with one window: only the final scan follows the rewrite
+        ((1, 2, 3, 1), lambda w, start, length, target: list(w),
+         "not fully exchanged"),
+        (_MANY_WINDOWS, lambda w, start, length, target: [0] * len(w),
+         "intermediate word is not a canonical non-crossing sequence"),
+    ],
+    ids=["persistence", "final-exchange", "intermediate-canonical"],
+)
+def test_map_f_checks_fire(monkeypatch, word, rewrite, message):
+    monkeypatch.setattr(bijections, "_convert_window", rewrite)
+    with pytest.raises(AssertionError, match=message):
+        map_f(word, "231", "221")
+
+
+def test_window_conversion_checks_fire(monkeypatch):
+    # A scan that reports a window the letters do not realize: 1,2,3 does
+    # not end with its minimum.
+    def bogus_scan(w, length, links1, links2):
+        return [bijections.TauString(0, length, 0)]
+
+    monkeypatch.setattr(bijections, "_scan_strings", bogus_scan)
+    with pytest.raises(AssertionError, match="window does not end with its minimum"):
+        map_f((1, 2, 3, 1), "231", "221")
+
+
+def test_descent_code_round_trip_check_fires(monkeypatch):
+    # A decoder that returns a valid partition other than the one asked for.
+    def wrong_decode(bottoms, codes):
+        return NCPartition((1,) * sum(len(code) + 1 for code in codes))
+
+    monkeypatch.setattr(bijections, "decode_descent_code", wrong_decode)
+    with pytest.raises(AssertionError, match="descent-code round trip failed"):
+        map_descent_code((1, 2, 3, 1))

@@ -548,6 +548,34 @@ def test_enumeration_cap(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_one_parser_serves_every_call(capsys):
+    # entry parses with one parser per process; no call may see what an
+    # earlier call left in it.  build_parser still builds a fresh one.
+    calls = [
+        ["dist", "--pattern", "112", "--n", "6", "--format", "json"],
+        ["total", "--pattern", "122", "--n", "8"],
+        ["dist", "--pattern", "112", "--n", "3", "--no-cache"],
+        ["verify", "--target", "table1", "--order", "6"],
+    ]
+
+    def run(argv):
+        try:
+            code = entry(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    alone = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        alone.append(run(argv))
+    assert [code for code, _ in alone] == [0, 0, 2, 0]
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()
+    for i in (0, 2, 1, 3, 2, 0, 3, 1, 2):
+        assert run(calls[i]) == alone[i]
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ncpart", "enum", "--n", "3"],

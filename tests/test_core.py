@@ -146,6 +146,25 @@ def test_one_pass_check_agrees_with_the_pairwise_oracle(letters):
         assert str(caught.value) == expected
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(st.integers(0, 6), max_size=12), _growth_words()))
+@example([1, 2, 1, 2, 5])
+@example([1, 2, 1, 2, 0])
+@example([1, 3])
+def test_internal_constructor_raises_what_the_public_one_raises(letters):
+    # NCPartition._checked takes the int tuples the package builds itself:
+    # the same scan and the same ValueError text, without the coercion.
+    word = tuple(letters)
+    expected = _parent_error(word)
+    if expected is None:
+        assert NCPartition._checked(word) == NCPartition(word)
+        return
+    for construct in (NCPartition, NCPartition._checked):
+        with pytest.raises(ValueError) as caught:
+            construct(word)
+        assert str(caught.value) == expected
+
+
 def test_blocks_and_block_count():
     pi = NCPartition("1213311")
     assert pi.block_count == 3
