@@ -107,20 +107,6 @@ def _coerce_rho_tail(value: Union[RhoTail, PatternLike]) -> RhoTail:
 ExchangeWords = tuple[Letters, Letters, ChainLinks, ChainLinks]
 
 
-@functools.lru_cache(maxsize=_PARAM_CACHE_SIZE)
-def _exchange_words(tau: Hashable, tau2: Hashable) -> ExchangeWords:
-    """The two validated pattern words :func:`map_f` exchanges, then their
-    chain links: the pair checks of :func:`_equiv_plan`, with neither
-    pattern needing a reduction.  A word of the shape (rho+1)1 determines
-    its family, so equal words mean equal families."""
-    _, lift1, exchange, lift2 = _equiv_plan(tau, tau2)
-    if lift1 is not None or lift2 is not None:
-        raise FamilyViolation(
-            "the window exchange needs trailing-run length 1 on both patterns"
-        )
-    return exchange
-
-
 def _scan_strings(
     w: Sequence[int], length: int, links1: ChainLinks, links2: ChainLinks
 ) -> list[TauString]:
@@ -154,7 +140,7 @@ def _convert_window(
     letters.  Extra letters are dropped (values above the window's top
     shift down) or new letters are created just above M = max(prefix
     maximum, u_s) (values above M shift up).  Every structural claim this
-    relies on is asserted."""
+    relies on is asserted, or follows from an earlier check or from M."""
     end = start + length
     window = w[start:end]
     v = window[-1]
@@ -188,18 +174,10 @@ def _convert_window(
                 "letters slated for removal occur outside the window"
             )
     else:
-        base = max(max(before, default=0), us[-1])
-        vals = [v] + us + list(range(base + 1, base + 1 + (t - s)))
-        threshold = base
-        if max(w[:end]) > threshold:
-            raise AssertionError(
-                "letters above the new-letter base occur at or before "
-                "the window"
-            )
+        threshold = max(max(before, default=0), us[-1])
+        vals = [v] + us + list(range(threshold + 1, threshold + 1 + (t - s)))
     delta = t - s
     if delta:
-        if max(before, default=0) > threshold:
-            raise AssertionError("letters to shift must follow the window")
         after = [letter + delta if letter > threshold else letter for letter in after]
     return before + [vals[r - 1] for r in target_word] + after
 
@@ -216,7 +194,11 @@ def map_f(
     tau2-occurrences of the output and vice versa; the first and last
     positions of every occurrence window are preserved.
     """
-    exchange = _exchange_words(_param_key(tau), _param_key(tau2))
+    _, lift1, exchange, lift2 = _equiv_plan(_param_key(tau), _param_key(tau2))
+    if lift1 is not None or lift2 is not None:
+        raise FamilyViolation(
+            "the window exchange needs trailing-run length 1 on both patterns"
+        )
     return _exchange(as_ncpartition(pi), exchange)
 
 
@@ -598,8 +580,6 @@ def decode_descent_code(
         start = int(start)
         if out and start >= last:
             raise ValueError("every section bottom must descend")
-        if start > maximum + 1:
-            raise ValueError("section bottom skips unused letters")
         out.append(start)
         last = start
         if start > maximum:

@@ -52,6 +52,7 @@ from . import formulas, stats
 from .algebra import MultiPoly, TruncatedSeries, catalan_series
 from .bijections import map_descent_code, map_equiv, map_f, map_g, map_runrev
 from .core import (
+    DEFAULT_ENUM_LIMIT,
     PatternFamily,
     RhoTail,
     Run,
@@ -87,8 +88,9 @@ __all__ = [
 #: Hard ceiling on requested series orders.
 MAX_ORDER = 24
 
-#: The orders ``verify`` and its suites accept.
-_VERIFY_ORDERS = (2, 16)
+#: The orders ``verify`` and its suites accept.  The top, every target's
+#: default, is the largest order whose every coefficient the rows serve.
+_VERIFY_ORDERS = (2, DEFAULT_ENUM_LIMIT + 1)
 
 #: ``--family`` name -> family class; the class's fields are its flags.
 _FAMILIES: dict[str, type] = {
@@ -722,18 +724,17 @@ def _groups_equidistribution(order: int) -> list[dict]:
     return cells
 
 
-#: Each verify target's suite and default order, in the order of
-#: ``--target all``.
-_VERIFY: dict[str, tuple[Callable[[int], list[dict]], int]] = {
-    "table1": (_groups_table1, 13),
-    "thm2.1": (_groups_joint, 11),
-    "thm2.4": (_groups_rho_tail, 13),
-    "thm2.7": (_groups_sandwich, 13),
-    "thm3.3": (_groups_staircase, 13),
-    "thm3.3-joint": (_groups_staircase_joint, 10),
-    "lemma3.1": (_groups_refined, 11),
-    "totals": (_groups_totals, 13),
-    "thm3.5": (_groups_equidistribution, 13),
+#: Each verify target's suite, in the order of ``--target all``.
+_VERIFY: dict[str, Callable[[int], list[dict]]] = {
+    "table1": _groups_table1,
+    "thm2.1": _groups_joint,
+    "thm2.4": _groups_rho_tail,
+    "thm2.7": _groups_sandwich,
+    "thm3.3": _groups_staircase,
+    "thm3.3-joint": _groups_staircase_joint,
+    "lemma3.1": _groups_refined,
+    "totals": _groups_totals,
+    "thm3.5": _groups_equidistribution,
 }
 
 
@@ -746,10 +747,12 @@ def _report(target: str, order: int, suite: Callable[[int], list[dict]]) -> dict
 
 def run_verify_target(target: str, order: int) -> dict:
     """Run one verification target; the report lists every checked cell."""
-    return _report(target, order, _VERIFY[target][0])
+    return _report(target, order, _VERIFY[target])
 
 
-def verify_table1(order: int = 13, mutation: MutationSlot | None = None) -> dict:
+def verify_table1(
+    order: int = _VERIFY_ORDERS[1], mutation: MutationSlot | None = None
+) -> dict:
     """The ``table1`` report, with ``mutation`` (one slot of
     :func:`table1_mutation_slots`) first adding 1 to that stored equation
     coefficient; the deliberate-mutation self-test uses this to prove the
@@ -783,13 +786,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 pass
         except OSError as exc:
             raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
+    order = args.order or _VERIFY_ORDERS[1]
     targets = list(_VERIFY) if target == "all" else [target]
-    reports = [run_verify_target(t, args.order or _VERIFY[t][1]) for t in targets]
+    reports = [run_verify_target(t, order) for t in targets]
     status = "pass" if all(r["status"] == "pass" for r in reports) else "fail"
     if target == "all":
         report = {
             "target": "all",
-            "order": args.order,
+            "order": order,
             "status": status,
             "reports": reports,
         }

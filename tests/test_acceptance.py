@@ -24,7 +24,7 @@ from ncpart.cli import (
 )
 from ncpart.core import NCPartition, iter_nc, parse_sequence
 from ncpart.formulas import gf_1m, gf_1m2, gf_joint_1a_1b2
-from ncpart.stats import block_count, count_subword
+from ncpart.stats import _occurrences, _pattern_constraints, block_count
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]
 
@@ -250,9 +250,27 @@ def test_criterion_10_bijections_exhaustive_to_size_ten():
     e_pairs = (("211", "221"), ("211", "231"))
     rr_cases = ((1, "1", 2), (2, "1", 1))
     dc_exchange = ((2, 2), (3, 2), (2, 3))
-    dc_patterns = [
-        ((1,) * a + tuple(range(2, m + 1)), tuple(range(1, m)) + (m,) * a)
-        for a, m in dc_exchange
+    # Every case's exchanged patterns, resolved once for the whole sweep.
+    f_checks = [(t1, t2, *map(_pattern_constraints, (t1, t2))) for t1, t2 in f_pairs]
+    g_checks = []
+    for sigma, b in g_cases:
+        sig = parse_sequence(sigma) if sigma else ()
+        p1 = (2,) + sig + (1,) * b
+        p2 = (2,) * b + sig + (1,)
+        g_checks.append((sigma, b, *map(_pattern_constraints, (p1, p2))))
+    e_checks = [(t1, t2, *map(_pattern_constraints, (t1, t2))) for t1, t2 in e_pairs]
+    rr_checks = []
+    for a, rho, b in rr_cases:
+        lifted = tuple(v + 1 for v in parse_sequence(rho))
+        p1 = (1,) * a + lifted + (1,) * b
+        p2 = (1,) * b + lifted + (1,) * a
+        rr_checks.append((a, rho, b, *map(_pattern_constraints, (p1, p2))))
+    dc_checks = [
+        (p1, *map(_pattern_constraints, (p1, p2)))
+        for p1, p2 in (
+            ((1,) * a + tuple(range(2, m + 1)), tuple(range(1, m)) + (m,) * a)
+            for a, m in dc_exchange
+        )
     ]
     problems: list[object] = []
 
@@ -265,53 +283,48 @@ def test_criterion_10_bijections_exhaustive_to_size_ten():
         seen.update({("runrev",) + c: set() for c in rr_cases})
         seen[("code",)] = set()
         for pi in partitions:
-            for t1, t2 in f_pairs:
+            w = pi.letters
+            for t1, t2, r1, r2 in f_checks:
                 image = map_f(pi, t1, t2)
                 if (
-                    count_subword(image, t2) != count_subword(pi, t1)
-                    or count_subword(image, t1) != count_subword(pi, t2)
+                    _occurrences(image.letters, *r2) != _occurrences(w, *r1)
+                    or _occurrences(image.letters, *r1) != _occurrences(w, *r2)
                     or map_f(image, t1, t2) != pi
                 ):
-                    problems.append(("f", t1, t2, pi.letters))
+                    problems.append(("f", t1, t2, w))
                 seen[("f", t1, t2)].add(image)
-            for sigma, b in g_cases:
-                sig = parse_sequence(sigma) if sigma else ()
-                p1 = (2,) + sig + (1,) * b
-                p2 = (2,) * b + sig + (1,)
+            for sigma, b, r1, r2 in g_checks:
                 image = map_g(pi, sigma, b)
                 if (
-                    count_subword(image, p2) != count_subword(pi, p1)
-                    or count_subword(image, p1) != count_subword(pi, p2)
+                    _occurrences(image.letters, *r2) != _occurrences(w, *r1)
+                    or _occurrences(image.letters, *r1) != _occurrences(w, *r2)
                     or map_g(image, sigma, b) != pi
                     or block_count(image) != block_count(pi)
                 ):
-                    problems.append(("g", sigma, b, pi.letters))
+                    problems.append(("g", sigma, b, w))
                 seen[("g", sigma, b)].add(image)
-            for t1, t2 in e_pairs:
+            for t1, t2, r1, r2 in e_checks:
                 image = map_equiv(pi, t1, t2)
-                if count_subword(image, t2) != count_subword(pi, t1):
-                    problems.append(("equiv", t1, t2, pi.letters))
+                if _occurrences(image.letters, *r2) != _occurrences(w, *r1):
+                    problems.append(("equiv", t1, t2, w))
                 seen[("equiv", t1, t2)].add(image)
-            for a, rho, b in rr_cases:
+            for a, rho, b, r1, r2 in rr_checks:
                 image = map_runrev(pi, a, rho, b)
-                lifted = tuple(v + 1 for v in parse_sequence(rho))
-                p1 = (1,) * a + lifted + (1,) * b
-                p2 = (1,) * b + lifted + (1,) * a
                 if (
-                    count_subword(image, p2) != count_subword(pi, p1)
-                    or count_subword(image, p1) != count_subword(pi, p2)
+                    _occurrences(image.letters, *r2) != _occurrences(w, *r1)
+                    or _occurrences(image.letters, *r1) != _occurrences(w, *r2)
                     or map_runrev(image, a, rho, b) != pi
                 ):
-                    problems.append(("runrev", a, rho, b, pi.letters))
+                    problems.append(("runrev", a, rho, b, w))
                 seen[("runrev", a, rho, b)].add(image)
             image = map_descent_code(pi)
             if map_descent_code(image) != pi:
-                problems.append(("code", pi.letters))
-            for p1, p2 in dc_patterns:
-                if count_subword(image, p2) != count_subword(
-                    pi, p1
-                ) or count_subword(image, p1) != count_subword(pi, p2):
-                    problems.append(("code-exchange", p1, pi.letters))
+                problems.append(("code", w))
+            for p1, r1, r2 in dc_checks:
+                if _occurrences(image.letters, *r2) != _occurrences(
+                    w, *r1
+                ) or _occurrences(image.letters, *r1) != _occurrences(w, *r2):
+                    problems.append(("code-exchange", p1, w))
             seen[("code",)].add(image)
         for key, images in seen.items():
             if len(images) != count:

@@ -105,6 +105,22 @@ def test_floats_are_rejected():
         TruncatedSeries.one(3).scale(0.5)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: MultiPoly({(0, -1, 0): 1}), "negative marker exponent in \\(0, -1, 0\\)"),
+        (lambda: MultiPoly.marker("z"), "unknown marker 'z'; markers are"),
+        (lambda: Q.substitute(z=1), "unknown marker 'z'"),
+        (lambda: MultiPoly.marker("q", -1), "marker exponent must be >= 0"),
+    ],
+    ids=["negative-exponent", "unknown-marker", "substitute-unknown-marker",
+         "negative-marker-exponent"],
+)
+def test_polynomial_rejects_bad_exponents_and_markers(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_substitute():
     poly = Q**2 * P + V
     assert poly.substitute(q=2) == P.scale(4) + V
@@ -165,6 +181,50 @@ def test_series_basics():
     assert (geom - geom).is_zero()
     assert geom.coefficient(3) == MultiPoly.one()
     assert geom.truncate(3).order == 3
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda s: TruncatedSeries([]), ValueError, "needs order >= 1"),
+        (lambda s: TruncatedSeries.from_x_poly({-1: 1}, 3), ValueError,
+         "negative x exponent"),
+        (lambda s: TruncatedSeries.from_x_poly({0: 1}, 0), ValueError,
+         "order must be >= 1"),
+        (lambda s: s.coefficient(3), IndexError, "coefficient 3 outside truncation order 3"),
+        (lambda s: s.coefficient(-1), IndexError, "coefficient -1 outside"),
+        (lambda s: s.truncate(0), ValueError, "order must be >= 1"),
+        (lambda s: s.shift_up(-1), ValueError, "shift must be >= 0"),
+        (lambda s: s.shift_down(-1), ValueError, "shift must be >= 0"),
+        (lambda s: s.shift_down(3), ValueError, "cannot shift an entire series away"),
+        (lambda s: s.shift_down(2), NonInvertibleConstantTerm,
+         "nonzero coefficient at x\\^1; cannot divide by x\\^2"),
+    ],
+    ids=["empty", "negative-exponent", "order-0", "coefficient-past-the-order",
+         "negative-coefficient", "truncate-to-0", "shift-up-negative",
+         "shift-down-negative", "shift-down-everything", "shift-down-nonzero"],
+)
+def test_series_rejects_bad_arguments(call, error, message):
+    s = TruncatedSeries.from_x_poly({1: Q, 2: 1}, 3)
+    with pytest.raises(error, match=message):
+        call(s)
+
+
+@pytest.mark.parametrize(
+    "combine,expected",
+    [
+        (lambda s: s + 1, {0: 3, 1: Q}),
+        (lambda s: 1 + s, {0: 3, 1: Q}),
+        (lambda s: s + Q, {0: 2 + Q, 1: Q}),
+        (lambda s: s - 1, {0: 1, 1: Q}),
+        (lambda s: 1 - s, {0: -1, 1: -Q}),
+        (lambda s: Q - s, {0: Q - 2, 1: -Q}),
+    ],
+    ids=["series+1", "1+series", "series+q", "series-1", "1-series", "q-series"],
+)
+def test_series_and_constants_meet_at_x0(combine, expected):
+    s = TruncatedSeries.from_x_poly({0: 2, 1: Q}, 3)
+    assert combine(s) == TruncatedSeries.from_x_poly(expected, 3)
 
 
 def test_series_multiplication_truncates():
@@ -325,6 +385,22 @@ def test_solver_error_classes():
     for order in (6, 1):
         with pytest.raises(NoConvergence):
             solve_poly_functional([TruncatedSeries.one(order), -1], 2)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: solve_poly_functional([TruncatedSeries.one(4)], 1),
+         "need degree >= 1 in Y and a series coefficient"),
+        (lambda: solve_poly_functional([1, -1], 1),
+         "need degree >= 1 in Y and a series coefficient"),
+        (lambda: catalan_series(0), "order must be >= 1"),
+    ],
+    ids=["degree-0", "no-series-coefficient", "catalan-order-0"],
+)
+def test_solvers_reject_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_series_str():

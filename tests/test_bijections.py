@@ -21,6 +21,7 @@ from ncpart.core import (
     NCPartition,
     RhoTail,
     SubwordPattern,
+    _chain_links,
     is_canonical_nc,
     is_noncrossing_pairwise,
     iter_nc,
@@ -252,6 +253,7 @@ def test_descent_code_requires_nonempty():
     [
         ((1, 2), ((), ())),  # bottoms must strictly descend
         ((2,), ((),)),  # first section must start at 1
+        ((1, 3), ((1,), ())),  # a bottom skipping the letter 3 does not descend
         ((1,), ((2,),)),  # code bits are 0 or 1 only
         ((1,), ((1,), (0,))),  # one code per bottom
     ],
@@ -546,7 +548,6 @@ def test_no_map_standardises(monkeypatch):
     monkeypatch.setattr(core, "_standardise", forbidden)
     monkeypatch.setattr(stats, "_standardise", forbidden)
     for resolve in (
-        bijections._exchange_words,
         bijections._chain_params,
         bijections._equiv_plan,
         bijections._runrev_rho,
@@ -575,17 +576,22 @@ def test_descent_code_map_is_the_run_reversal_of_sections():
 
 
 @pytest.mark.parametrize(
-    "word,parse",
+    "word,parse,message",
     [
         # a string found at position 1, inside the run 1,1
-        ((1, 1, 2), lambda w, p: (p + 1, [(w[p], 1, ())]) if p == 1 else None),
+        ((1, 1, 2), lambda w, p: (p + 1, [(w[p], 1, ())]) if p == 1 else None,
+         "not run-maximal on the left"),
         # links of total length 1 for a string of length 2
-        ((1, 2), lambda w, p: (p + 2, [(w[p], 1, ())])),
+        ((1, 2), lambda w, p: (p + 2, [(w[p], 1, ())]),
+         "changed the string length"),
+        # two links of total length 2 for a string of length 4
+        ((1, 2, 1, 2), lambda w, p: (4, [(1, 1, ()), (2, 1, ())]) if p == 0 else None,
+         "changed the string length"),
     ],
-    ids=["starts-inside-a-run", "links-short-of-the-span"],
+    ids=["starts-inside-a-run", "links-short-of-the-span", "multi-link-short-of-the-span"],
 )
-def test_run_reversal_kernel_asserts_its_structure(word, parse):
-    with pytest.raises(AssertionError):
+def test_run_reversal_kernel_asserts_its_structure(word, parse, message):
+    with pytest.raises(AssertionError, match=message):
         bijections._reverse_runs(word, parse)
 
 
@@ -627,6 +633,44 @@ def test_window_conversion_checks_fire(monkeypatch):
     monkeypatch.setattr(bijections, "_scan_strings", bogus_scan)
     with pytest.raises(AssertionError, match="window does not end with its minimum"):
         map_f((1, 2, 3, 1), "231", "221")
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        # windows of 111 at 0 and 1 in 1111
+        (lambda: bijections._scan_strings(
+            (1, 1, 1, 1), 3, _chain_links((1, 1, 1)), _chain_links((1, 1, 1))),
+         "share more than one position"),
+        # fresh letters 3 and 5 of the window 2,3,5,1
+        (lambda: bijections._convert_window([2, 3, 5, 1], 0, 4, (2, 3, 4, 1)),
+         "fresh letters are not consecutive values"),
+        # 221 into 21 drops the letter 3, which also occurs before the window
+        (lambda: bijections._convert_window([3, 2, 3, 1], 1, 3, (2, 1)),
+         "letters slated for removal occur outside the window"),
+        # ... and after it
+        (lambda: bijections._convert_window([2, 3, 1, 3], 0, 3, (2, 1)),
+         "letters slated for removal occur outside the window"),
+        # 4 comes before the window 2,3,1, whose top is 3
+        (lambda: bijections._convert_window([4, 2, 3, 1], 1, 3, (2, 3, 1)),
+         "letters above the window's top occur before it"),
+    ],
+    ids=["overlapping-windows", "fresh-letters", "removed-before", "removed-after",
+         "above-the-top"],
+)
+def test_window_kernels_assert_their_structure(call, message):
+    with pytest.raises(AssertionError, match=message):
+        call()
+
+
+def test_maximal_run_string_check_fires(monkeypatch):
+    # A parser whose string found at 1 reaches past the one found at 0.
+    def overlapping(rho_links, w, p):
+        return {0: (2, []), 1: (4, [])}.get(p)
+
+    monkeypatch.setattr(bijections, "_parse_runstring", overlapping)
+    with pytest.raises(AssertionError, match="maximal run strings are not disjoint"):
+        bijections._maximal_runstring((), (1, 1, 1, 1), 0)
 
 
 def test_descent_code_round_trip_check_fires(monkeypatch):

@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 
 from ncpart import cli, stats
 from ncpart.cli import build_parser, entry, run_verify_target
-from ncpart.core import RunStaircase, StaircaseTail, as_ncpartition, iter_nc
+from ncpart.core import (
+    DEFAULT_ENUM_LIMIT,
+    RunStaircase,
+    StaircaseTail,
+    as_ncpartition,
+    iter_nc,
+)
 from ncpart.stats import count_subword
 
 
@@ -443,17 +449,33 @@ def test_verify_checks_every_coefficient_below_the_order():
     assert coeff_ns == set(range(16))
 
 
-@pytest.mark.parametrize("order", ["1", "17", "25"])
+@pytest.mark.parametrize("target", ["thm2.4", "all"])
+def test_verify_defaults_to_every_size_the_rows_serve(capsys, monkeypatch, target):
+    # "all" runs the one cheap target here; its report names the order run.
+    monkeypatch.setattr(cli, "_VERIFY", {"thm2.4": cli._VERIFY["thm2.4"]})
+    code, out, _ = run_cli(capsys, "verify", "--target", target, "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    reports = report["reports"] if target == "all" else [report]
+    assert [r["target"] for r in reports] == ["thm2.4"]
+    assert {report["order"]} | {r["order"] for r in reports} == {DEFAULT_ENUM_LIMIT + 1}
+    coeff_ns = {
+        c["n"] for c in reports[0]["cells"] if c["params"]["check"] == "coefficient"
+    }
+    assert coeff_ns == set(range(DEFAULT_ENUM_LIMIT + 1))
+
+
+@pytest.mark.parametrize("order", ["1", "18", "25"])
 def test_verify_order_out_of_bounds(capsys, tmp_path, monkeypatch, order):
     def suite(order):
         raise AssertionError("an out-of-range order ran a suite")
 
-    monkeypatch.setitem(cli._VERIFY, "table1", (suite, 13))
+    monkeypatch.setitem(cli._VERIFY, "table1", suite)
     out_file = tmp_path / "report.json"
     code, out, err = run_cli(
         capsys, "verify", "--target", "table1", "--order", order, "--out", str(out_file)
     )
-    assert (code, out, err) == (2, "", "error: order must be between 2 and 16\n")
+    assert (code, out, err) == (2, "", "error: order must be between 2 and 17\n")
     assert not out_file.exists()
 
 
@@ -649,8 +671,8 @@ def _value(name: str, flag: str) -> st.SearchStrategy[str]:
 def _argv(draw) -> list[str]:
     """A subcommand (rarely an unknown one), each required flag with
     probability 9/10 and each other flag with probability 1/2, and rarely
-    a foreign flag or --help.  verify always gets --order: its default
-    orders take seconds."""
+    a foreign flag or --help.  verify always gets --order, so that no
+    call runs every size up to 16, as its default order 17 does."""
     name = draw(st.sampled_from(sorted(_FLAGS) + ["nope"]))
     argv = [name]
     own = {

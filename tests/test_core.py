@@ -229,6 +229,14 @@ def test_catalan_function():
         assert catalan(n) == value
 
 
+@pytest.mark.parametrize(
+    "call", [lambda: catalan(-1), lambda: next(iter_rgs(-1))], ids=["catalan", "iter_rgs"]
+)
+def test_counts_reject_a_negative_size(call):
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # Patterns and families
 # ---------------------------------------------------------------------------

@@ -219,7 +219,7 @@ def test_verify_table1_rejects_bad_order():
     with pytest.raises(ValueError):
         verify_table1(order=1)
     with pytest.raises(ValueError):
-        verify_table1(order=17)
+        verify_table1(order=18)
 
 
 def test_mutating_one_equation_coefficient_is_caught():

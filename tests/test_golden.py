@@ -98,6 +98,7 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("verify", "--target", "thm3.3", "--order", "7"),
     ("verify", "--target", "lemma3.1", "--order", "8"),
     ("verify", "--target", "table1", "--order", "17"),
+    ("verify", "--target", "table1", "--order", "18"),
     ("verify", "--target", "all", "--order", "10"),
 )
 

@@ -127,6 +127,22 @@ def test_recurrence_table_is_shared():
     assert recurrence_table(2, 2) is recurrence_table(2, 2)
 
 
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda t: t.total(3, -1), IndexOutOfRange, "shift must be >= 0, got -1"),
+        (lambda t: t.cell(4, 0), IndexOutOfRange, "must lie in 1..3 for n = 4, got 0"),
+        (lambda t: t.cell(4, 4), IndexOutOfRange, "must lie in 1..3 for n = 4, got 4"),
+        (lambda t: t.total(-1), IndexOutOfRange, "n must be >= 0, got -1"),
+        (lambda t: t.series(0), ValueError, "order must be >= 1"),
+    ],
+    ids=["negative-shift", "r-below-1", "r-above-range", "negative-n", "series-order-0"],
+)
+def test_recurrence_rejects_bad_indices(call, error, message):
+    with pytest.raises(error, match=message):
+        call(StaircaseRecurrence(2, 2))
+
+
 def test_parameter_validation():
     with pytest.raises(Exception):
         StaircaseRecurrence(1, 2)
