@@ -216,10 +216,7 @@ def _output(args: argparse.Namespace, lines: Sequence[str], obj: object) -> None
 
 def _poly_total(poly: MultiPoly) -> int:
     """d/dq at q=1 of a one-marker distribution polynomial."""
-    total = sum(coeff * exps[0] for exps, coeff in poly.items())
-    if total.denominator != 1:
-        raise AssertionError(f"occurrence total {total} of {poly} is not an integer")
-    return int(total)
+    return sum(coeff * exps[0] for exps, coeff in poly.items())
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +457,8 @@ def _groups_table1(order: int, mutation: MutationSlot | None = None) -> list[dic
         pattern, part, x_exp, exps = mutation
         if pattern not in equations:
             raise ValueError(f"mutation targets unknown row {pattern!r}")
+        if part not in equations[pattern]:
+            raise ValueError(f"mutation targets unknown equation part {part!r}")
         terms = equations[pattern][part]
         terms[x_exp] = terms.get(x_exp, MultiPoly.zero()) + MultiPoly({exps: 1})
     all_rows = stats.batch_distribution_rows(order - 1, TABLE1_PATTERNS)
@@ -612,9 +611,7 @@ def _groups_refined(order: int) -> list[dict]:
         for n in range(a, order):
             top = n - a + 1
             by_rep: dict[int, MultiPoly] = {}
-            for (eq, ep, ev), coeff in rows[n].items():
-                if ep != 0:
-                    raise AssertionError("a rep row has a nonzero p exponent")
+            for (eq, _, ev), coeff in rows[n].items():
                 term = MultiPoly({(eq, 0, 0): coeff})
                 by_rep[ev] = by_rep.get(ev, MultiPoly.zero()) + term
             boundary = sum(
@@ -813,7 +810,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser :func:`entry` uses in this process, built on the
+    first call.  Parsing leaves no state behind: each call fills a fresh
+    namespace."""
     parser = argparse.ArgumentParser(
         prog="ncpart",
         description=(
@@ -920,15 +921,8 @@ _HANDLERS: dict[str, Callable[[argparse.Namespace], int]] = {
 }
 
 
-@functools.lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The one parser :func:`entry` uses in this process.  Parsing leaves
-    no state behind: each call fills a fresh namespace."""
-    return build_parser()
-
-
 def entry(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.subcommand](_checked(args))
     except (NcpartError, ValueError, OverflowError) as exc:

@@ -5,6 +5,8 @@ The row functions never materialize the partitions, and one pass
 produces the rows for every size up to the requested bound.  The engines
 return those rows, one ``MultiPoly`` per size, built once from their
 nonzero cells and cached; the row functions hand out slices of them.
+Every row passes one check as it enters the cache (``_rows``): positive
+int coefficients that sum to C_k at size k, at q = p = v = 1.
 
 - ``_transfer`` (``engine="transfer"``, the default) is a transfer matrix;
   a batch of patterns or a joint distribution takes one pass.  A prefix's
@@ -17,7 +19,8 @@ nonzero cells and cached; the row functions hand out slices of them.
   (shape, k) automaton, deriving each shape's moves once, and steps each
   shape's weights over all k at once, k being a catalytic variable: the
   move shared by every letter below the window is one running sum over k.
-  A weight packs its prefix counts into the cells of one int.
+  A weight packs its prefix counts, by occurrence count, into the cells
+  of one int; no cell counts the prefixes themselves.
 - ``_walk`` (``engine="brute"``, the CLI's ``--method brute``) walks the
   prefix tree depth-first for one word, at O(C_n) per size; a batch walks
   once per word.  It is the exhaustive reference for the transfer engine's
@@ -267,9 +270,9 @@ def _transfer(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
     A weight is one int with a ``width``-bit cell per count, wide enough for
     C(n_max), the most a cell holds, so adding ints adds cells.  A word takes
     ``span`` cells, up to its most possible occurrences: "separate" puts
-    (p, c) at p * span + c and the prefix count after them, "joint" and
-    "rep" put (c0, c1) at c0 * span + c1.  A hit moves cells up by a mask
-    and a shift.  Each size's prefix total is asserted to be C_k.  The
+    (p, c) at p * span + c, with no prefix-count cell, "joint" and "rep"
+    put (c0, c1) at c0 * span + c1.  A hit moves cells up by a mask and a
+    shift.  ``_rows`` checks the rows, as it checks every engine's.  The
     shapes and moves live only in this call; the standard forms and next
     shapes of windows are memoised across calls.
     """
@@ -342,17 +345,14 @@ def _transfer(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
         moves[sid] = out = out + ((True, 0 if track_rep else None) + below,)
         return out
 
-    # The empty prefix: every word at count 0, and one prefix.
-    first = ((1 << block * (len(words) + 1)) - 1) // ((1 << block) - 1) if separate else 1
+    # The empty prefix: one prefix, every word at count 0.
+    first = ((1 << block * len(words)) - 1) // ((1 << block) - 1) if separate else 1
     level: dict[Group, list[int]] = {(0, -1): [first]}
     by_size = []
     for size in range(n_max + 1):
         if size:
             level = _step(level, moves.get, shape_moves)
-        total, rows = _record(level, len(words), mode, width, span)
-        if total != catalan(size):
-            raise AssertionError(f"size {size}: {total} prefixes")
-        by_size.append(rows)
+        by_size.append(_record(level, len(words), mode, width, span))
     return [list(rows) for rows in zip(*by_size)]
 
 
@@ -399,21 +399,21 @@ def _cells(weight: int, width: int) -> Sequence[int]:
     return [int.from_bytes(cell, "little") for cell in cells]
 
 
-def _record(level: dict, n_words: int, mode: str, width: int, span: int) -> tuple:
-    """The number of prefixes in a level, and its row of each of
-    ``_transfer``'s marginals, built from the nonzero cells."""
+def _record(level: dict, n_words: int, mode: str, width: int, span: int) -> list:
+    """A level's row of each of ``_transfer``'s marginals, built from the
+    nonzero cells."""
     if mode == "separate":
         cells = _cells(sum(map(sum, level.values())), width)
-        total = cells[n_words * span]
         exps = [(c, 0, 0) for c in range(span)]
         rows = []
         for start in range(0, n_words * span, span):
             counts = cells[start : start + span]
-            # A word no prefix has yet, as most are in a batch's early sizes.
-            whole = counts[0] == total
-            terms = {exps[0]: total} if whole else dict(compress(zip(exps, counts), counts))
+            # A word no prefix has yet, as most are in a batch's early sizes:
+            # only its count-0 cell is nonzero.
+            alone = counts.count(0) == len(counts) - 1 and counts[0]
+            terms = {exps[0]: counts[0]} if alone else dict(compress(zip(exps, counts), counts))
             rows.append(_poly_from_clean(terms))
-        return total, rows
+        return rows
     by_r: dict[int, int] = {}  # "joint" mode has r = -1 throughout
     for (_, r), vec in level.items():
         by_r[r] = by_r.get(r, 0) + sum(vec)
@@ -423,7 +423,7 @@ def _record(level: dict, n_words: int, mode: str, width: int, span: int) -> tupl
         for cell, m in compress(enumerate(cells), cells):
             c0, c1 = divmod(cell, span)
             terms[(c1, c0, 0) if mode == "joint" else (c0, 0, r + 1)] = m
-    return sum(terms.values()), [_poly_from_clean(terms)]
+    return [_poly_from_clean(terms)]
 
 
 #: The separate-row engines, by name, each (n_max, words) -> one list of
@@ -442,37 +442,33 @@ _CACHE: dict[tuple[str, str, tuple[Letters, ...]], tuple[int, list]] = {}
 def _rows(mode: str, n_max: int, words: tuple[Letters, ...], engine: str) -> list:
     """``_transfer``'s rows, or ``_ENGINES[engine]``'s for "separate", cut
     to sizes 0..n_max: fresh lists on every call, so a caller may change
-    them without changing the cache."""
+    them without changing the cache.  Every engine row enters ``_CACHE``
+    here only, after one check: each marginal holds n_max + 1 rows, and
+    rows[k] has positive ``int`` coefficients summing to C_k."""
+    _check_size(n_max)
     key = (engine, mode, words)
     cached = _CACHE.get(key)
     if cached is None or cached[0] < n_max:
         if engine not in _ENGINES:
             raise ValueError(f"unknown engine {engine!r}; engines: {', '.join(_ENGINES)}")
         build = _ENGINES[engine] if mode == "separate" else functools.partial(_transfer, mode)
-        cached = _CACHE[key] = (n_max, build(n_max, words))
+        marginals = build(n_max, words)
+        totals = [catalan(k) for k in range(n_max + 1)]
+        for rows in marginals:
+            if len(rows) != len(totals):
+                raise AssertionError(f"{len(rows)} engine rows for sizes 0..{n_max}")
+            for k, (row, total) in enumerate(zip(rows, totals)):
+                coeffs = row._terms.values()
+                positive = all(type(c) is int and c > 0 for c in coeffs)
+                if not positive or sum(coeffs) != total:
+                    raise AssertionError(f"engine row {k} does not count C_{k} = {total}: {row}")
+        cached = _CACHE[key] = (n_max, marginals)
     return [rows[: n_max + 1] for rows in cached[1]]
 
 
 # ---------------------------------------------------------------------------
 # Distribution rows
 # ---------------------------------------------------------------------------
-
-
-def _checked_last_row(rows: Sequence[MultiPoly]) -> MultiPoly:
-    """The last of ``rows`` (``rows[n]`` is over all size-n non-crossing
-    partitions), after re-checking the two structural invariants of every
-    row: every coefficient is a nonnegative integer, and setting every
-    marker to 1 gives the Catalan number."""
-    ones = {name: 1 for name in ("q", "p", "v")}
-    for n, row in enumerate(rows):
-        if not (row.has_integer_coeffs() and row.has_nonnegative_coeffs()):
-            raise AssertionError(f"distribution row {n} has a bad coefficient: {row}")
-        total = row.substitute(**ones).as_constant()
-        if total != catalan(n):
-            raise AssertionError(
-                f"distribution row {n} sums to {total}, expected {catalan(n)}"
-            )
-    return rows[-1]
 
 
 def distribution_rows(
@@ -490,14 +486,12 @@ def batch_distribution_rows(
 ) -> list[list[MultiPoly]]:
     """Occurrence distributions for many patterns: the transfer engine
     serves the batch from one shared pass, "brute" walks once per word."""
-    _check_size(n_max)
     words = tuple(as_pattern(t).word for t in taus)
     return _rows("separate", n_max, words, engine)
 
 
 def joint_rows(n_max: int, tau1: PatternLike, tau2: PatternLike) -> list[MultiPoly]:
     """Joint distributions: tau1 marked by p, tau2 marked by q."""
-    _check_size(n_max)
     words = (as_pattern(tau1).word, as_pattern(tau2).word)
     return _rows("joint", n_max, words, "transfer")[0]
 
@@ -505,7 +499,6 @@ def joint_rows(n_max: int, tau1: PatternLike, tau2: PatternLike) -> list[MultiPo
 def rep_joint_rows(n_max: int, tau: PatternLike) -> list[MultiPoly]:
     """Joint distributions: occurrences marked by q, smallest repeated
     letter marked by v (exponent 0 when nothing repeats)."""
-    _check_size(n_max)
     words = (as_pattern(tau).word,)
     return _rows("rep", n_max, words, "transfer")[0]
 
@@ -513,17 +506,17 @@ def rep_joint_rows(n_max: int, tau: PatternLike) -> list[MultiPoly]:
 def distribution(n: int, tau: PatternLike) -> MultiPoly:
     """The polynomial sum of q^(occurrences of tau) over all size-n
     non-crossing partitions."""
-    return _checked_last_row(distribution_rows(n, tau))
+    return distribution_rows(n, tau)[-1]
 
 
 def joint_distribution(n: int, tau1: PatternLike, tau2: PatternLike) -> MultiPoly:
     """The polynomial sum of p^(occurrences of tau1) q^(occurrences of tau2)
     over all size-n non-crossing partitions, from a single pass."""
-    return _checked_last_row(joint_rows(n, tau1, tau2))
+    return joint_rows(n, tau1, tau2)[-1]
 
 
 def rep_joint_distribution(n: int, tau: PatternLike) -> MultiPoly:
     """The polynomial sum of q^(occurrences) v^(smallest repeated letter)
     over all size-n non-crossing partitions (v-exponent 0 when no letter
     repeats), from a single pass."""
-    return _checked_last_row(rep_joint_rows(n, tau))
+    return rep_joint_rows(n, tau)[-1]

@@ -66,6 +66,36 @@ def test_a_constant_hashes_as_the_rational_it_equals(value):
     assert {poly: "x"}.get(value) == "x"
 
 
+def test_a_polynomial_is_true_unless_zero():
+    assert not MultiPoly.zero() and not MultiPoly({(1, 0, 0): 0}) and not Q - Q
+    assert MultiPoly.one() and Q and MultiPoly.const(Fraction(-1, 2))
+
+
+@pytest.mark.parametrize(
+    "value, attr",
+    [
+        (Q + 1, "_terms"),
+        (Q + 1, "extra"),
+        (TruncatedSeries([1, Q]), "_coeffs"),
+        (TruncatedSeries([1, Q]), "extra"),
+    ],
+    ids=["poly", "poly-new", "series", "series-new"],
+)
+def test_algebra_values_refuse_assignment(value, attr):
+    before = str(value)
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(value, attr, {})
+    assert str(value) == before
+
+
+def test_series_repr_and_hash():
+    series = TruncatedSeries([1, Q, 0])
+    assert repr(series) == "TruncatedSeries(order=3)"
+    same = TruncatedSeries([MultiPoly.one(), Q, MultiPoly.zero()])
+    assert series == same and hash(series) == hash(same)
+    assert len({series, same, series.truncate(2)}) == 2
+
+
 def test_arithmetic_identities():
     assert (Q + 1) * (Q - 1) == Q * Q - 1
     assert (Q + P) * (Q + P) == Q**2 + Q * P * 2 + P**2

@@ -571,8 +571,8 @@ def test_enumeration_cap(capsys):
 
 
 def test_one_parser_serves_every_call(capsys):
-    # entry parses with one parser per process; no call may see what an
-    # earlier call left in it.  build_parser still builds a fresh one.
+    # entry parses with build_parser's one parser per process; no call may
+    # see what an earlier call left in it.
     calls = [
         ["dist", "--pattern", "112", "--n", "6", "--format", "json"],
         ["total", "--pattern", "122", "--n", "8"],
@@ -589,11 +589,10 @@ def test_one_parser_serves_every_call(capsys):
 
     alone = []
     for argv in calls:
-        cli._parser.cache_clear()
+        build_parser.cache_clear()
         alone.append(run(argv))
     assert [code for code, _ in alone] == [0, 0, 2, 0]
-    assert cli._parser() is cli._parser()
-    assert build_parser() is not build_parser()
+    assert build_parser() is build_parser()
     for i in (0, 2, 1, 3, 2, 0, 3, 1, 2):
         assert run(calls[i]) == alone[i]
 

@@ -177,6 +177,35 @@ def test_canonicalseq_ordering_and_hash():
     assert len({CanonicalSeq("112"), CanonicalSeq("112"), b}) == 2
 
 
+def test_canonicalseq_is_a_read_only_sequence():
+    seq = CanonicalSeq("1213")
+    assert seq.n == len(seq) == 4
+    assert list(seq) == [1, 2, 1, 3]
+    assert (seq[1], seq[-1], seq[1:3]) == (2, 3, (2, 1))
+    assert repr(seq) == "CanonicalSeq('1213')"
+    assert repr(NCPartition("1221")) == "NCPartition('1221')"
+    with pytest.raises(ValueError, match="not a restricted growth string"):
+        CanonicalSeq("21")
+
+
+@pytest.mark.parametrize(
+    "value, attr",
+    [
+        (CanonicalSeq("12"), "letters"),
+        (NCPartition("1213"), "letters"),
+        (NCPartition("1213"), "extra"),
+        (SubwordPattern("112"), "word"),
+        (SubwordPattern("112"), "extra"),
+    ],
+    ids=["seq", "partition", "partition-new", "pattern", "pattern-new"],
+)
+def test_value_types_refuse_assignment(value, attr):
+    before = repr(value)
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(value, attr, (1,))
+    assert repr(value) == before
+
+
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
@@ -251,6 +280,23 @@ def test_subword_pattern_validation():
         SubwordPattern(())
     with pytest.raises(InvalidPattern):
         SubwordPattern((0, 1))
+
+
+def test_subword_pattern_is_an_ordered_value():
+    pat = SubwordPattern("2132")
+    assert SubwordPattern(pat) == pat == SubwordPattern([2, 1, 3, 2])
+    assert SubwordPattern(pat).word == pat.word == (2, 1, 3, 2)
+    assert pat != SubwordPattern("1232") and pat != (2, 1, 3, 2)
+    assert SubwordPattern("1232") < pat < SubwordPattern("3121")
+    assert sorted([pat, SubwordPattern("11"), SubwordPattern("1")]) == [
+        SubwordPattern("1"),
+        SubwordPattern("11"),
+        pat,
+    ]
+    assert len(pat) == 4 and list(pat) == [2, 1, 3, 2]
+    assert repr(pat) == "SubwordPattern('2132')"
+    assert repr(SubwordPattern(range(1, 11))) == "SubwordPattern('1,2,3,4,5,6,7,8,9,10')"
+    assert len({pat, SubwordPattern(pat), SubwordPattern("1232")}) == 2
 
 
 def test_classification_anchors():

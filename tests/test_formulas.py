@@ -222,6 +222,19 @@ def test_verify_table1_rejects_bad_order():
         verify_table1(order=18)
 
 
+@pytest.mark.parametrize(
+    "slot, message",
+    [
+        (("999", "A", 1, (0, 0, 0)), "unknown row '999'"),
+        (("111", "D", 1, (0, 0, 0)), "unknown equation part 'D'"),
+    ],
+    ids=["row", "part"],
+)
+def test_mutation_of_an_unknown_row_or_part_is_rejected(slot, message):
+    with pytest.raises(ValueError, match=message):
+        verify_table1(order=8, mutation=slot)
+
+
 def test_mutating_one_equation_coefficient_is_caught():
     slots = table1_mutation_slots()
     assert len(slots) > 0

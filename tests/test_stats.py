@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncpart.algebra import MultiPoly, TruncatedSeries
+from ncpart.algebra import MultiPoly, TruncatedSeries, _poly_from_clean
 from ncpart import core, formulas
 from ncpart.core import (
     SubwordPattern,
@@ -542,15 +542,70 @@ def test_size_limit_is_enforced():
         distribution(-1, "11")
 
 
-def test_a_row_with_a_wrong_total_or_coefficient_is_rejected():
-    rows = [MultiPoly.const(1), MultiPoly.const(1), Q + MultiPoly.const(2)]
-    with pytest.raises(AssertionError, match="row 2 sums to 3, expected 2"):
-        stats._checked_last_row(rows)
-    rows[2] = Q.scale(3) - MultiPoly.const(1)
-    with pytest.raises(AssertionError, match="row 2 has a bad coefficient"):
-        stats._checked_last_row(rows)
-    rows[2] = Q + MultiPoly.const(1)
-    assert stats._checked_last_row(rows) == rows[2]
+# Rows that break the one check in stats._rows: each has a wrong sum, a
+# stored zero, a negative or a non-int coefficient at size 4 (C_4 = 14), or
+# the row of size 4 is missing.
+BAD_LAST_ROWS = {
+    "wrong-sum": MultiPoly.const(14) + Q,
+    "zero": _poly_from_clean({(0, 0, 0): 14, (1, 0, 0): 0}),
+    "negative": MultiPoly({(0, 0, 0): 15, (1, 0, 0): -1}),
+    "fraction": MultiPoly({(0, 0, 0): Fraction(27, 2), (1, 0, 0): Fraction(1, 2)}),
+    "missing": None,
+}
+
+ROUTES = {
+    "rows": lambda: distribution_rows(4, "11"),
+    "brute-rows": lambda: distribution_rows(4, "11", engine="brute"),
+    "batch": lambda: batch_distribution_rows(4, ["11", "121"]),
+    "brute-batch": lambda: batch_distribution_rows(4, ["11", "121"], engine="brute"),
+    "joint": lambda: joint_rows(4, "11", "121"),
+    "rep": lambda: rep_joint_rows(4, "122"),
+    "distribution": lambda: distribution(4, "11"),
+    "joint-distribution": lambda: joint_distribution(4, "11", "121"),
+    "rep-distribution": lambda: rep_joint_distribution(4, "122"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_LAST_ROWS))
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_route_serves_only_rows_that_pass_the_one_check(monkeypatch, route, bad):
+    # Every engine, in every mode, answers with good rows for sizes 0-3 and
+    # a bad last one; no route may serve them.
+    def engine(*args):
+        # A separate engine takes (n_max, words), _transfer (mode, n_max, words).
+        n_max, words = args[-2:]
+        marginals = len(words) if len(args) == 2 else 1
+        rows = [MultiPoly.const(catalan(k)) for k in range(n_max)]
+        if BAD_LAST_ROWS[bad] is not None:
+            rows.append(BAD_LAST_ROWS[bad])
+        return [list(rows) for _ in range(marginals)]
+
+    monkeypatch.setattr(stats, "_CACHE", {})
+    monkeypatch.setattr(stats, "_transfer", engine)
+    monkeypatch.setitem(stats._ENGINES, "transfer", engine)
+    monkeypatch.setitem(stats._ENGINES, "brute", engine)
+    message = "engine rows for sizes 0..4" if bad == "missing" else "engine row 4 does not"
+    with pytest.raises(AssertionError, match=message):
+        ROUTES[route]()
+    assert stats._CACHE == {}
+
+
+def test_rows_are_checked_once_where_they_are_cached(monkeypatch):
+    # A warm call serves the cached rows without a second check; a larger
+    # size rebuilds them, and the check runs on the rebuild.
+    monkeypatch.setattr(stats, "_CACHE", {})
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return catalan(n)
+
+    monkeypatch.setattr(stats, "catalan", counting)
+    rows = distribution_rows(6, "121", engine="brute")  # the walk needs no C_k
+    assert calls == list(range(7))
+    assert distribution_rows(5, "121", engine="brute") == rows[:6] and len(calls) == 7
+    distribution_rows(8, "121", engine="brute")
+    assert calls[7:] == list(range(9))
 
 
 # ---------------------------------------------------------------------------
