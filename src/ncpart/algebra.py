@@ -258,7 +258,9 @@ class MultiPoly:
     def substitute(self, **values: Union[Rational, "MultiPoly"]) -> "MultiPoly":
         """Substitute values (rationals or polynomials) for markers.
 
-        Markers not mentioned are left untouched.
+        Markers not mentioned are left untouched.  Each term c * m is the
+        product of its kept monomial c * m' and the powers of the values
+        substituted into it, and all those products are summed at once.
         """
         for name in values:
             if name not in MARKERS:
@@ -266,20 +268,14 @@ class MultiPoly:
         subs: dict[int, MultiPoly] = {
             MARKERS.index(name): MultiPoly.coerce(val) for name, val in values.items()
         }
-        result = _POLY_ZERO
+        pairs = []
         for e, c in self._terms.items():
-            term = MultiPoly.const(c)
-            residual = [0, 0, 0]
-            for idx in range(3):
-                if idx in subs:
-                    if e[idx]:
-                        term = term * (subs[idx] ** e[idx])
-                else:
-                    residual[idx] = e[idx]
-            if residual != [0, 0, 0]:
-                term = term * MultiPoly({tuple(residual): 1})  # type: ignore[arg-type]
-            result = result + term
-        return result
+            kept = tuple(0 if idx in subs else x for idx, x in enumerate(e))
+            factor = _POLY_ONE
+            for idx, value in subs.items():
+                factor = factor * value ** e[idx]
+            pairs.append(((_poly_from_clean({kept: c}),), (factor,)))
+        return _product_sum({}, pairs, 0)
 
     # -- comparison / hashing / rendering ----------------------------------
 

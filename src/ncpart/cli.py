@@ -333,7 +333,7 @@ def cmd_equivclasses(args: argparse.Namespace) -> int:
     rows = stats.batch_distribution_rows(hi, words)
     groups: dict[tuple, list[str]] = {}
     for word, word_rows in zip(words, rows):
-        key = tuple(tuple(sorted(word_rows[n].items())) for n in range(lo, hi + 1))
+        key = tuple(tuple(word_rows[n].items()) for n in range(lo, hi + 1))
         groups.setdefault(key, []).append(format_sequence(word))
     classes = sorted(sorted(members) for members in groups.values())
     obj = {
@@ -352,9 +352,7 @@ def cmd_equivclasses(args: argparse.Namespace) -> int:
 
 
 def _jsonable(value: object) -> object:
-    if isinstance(value, MultiPoly):
-        return value.to_json_obj()
-    if isinstance(value, TruncatedSeries):
+    if isinstance(value, (MultiPoly, TruncatedSeries)):
         return value.to_json_obj()
     return value
 
@@ -487,17 +485,17 @@ def _groups_joint(order: int) -> list[dict]:
     cells = []
     joint = functools.cache(lambda a, b: formulas.gf_joint_1a_1b2(a, b, order))
     for a, b in ((1, 1), (2, 1), (2, 2), (3, 2), (2, 3)):
-        series = joint(a, b)
+        rows = stats.joint_rows(order - 1, (1,) * a, (1,) * b + (2,))
+        engine = TruncatedSeries(rows)
         eq_a, eq_b, eq_c = formulas.joint_quadratic(a, b, order)
         cells.append(
             _zero_cell(
                 {"a": a, "b": b, "check": "equation"},
-                eq_a * series * series - eq_b * series + eq_c,
+                eq_a * engine * engine - eq_b * engine + eq_c,
             )
         )
-        rows = stats.joint_rows(order - 1, (1,) * a, (1,) * b + (2,))
         cells += _compare(
-            {"a": a, "b": b, "check": "coefficient"}, rows, series.coeffs
+            {"a": a, "b": b, "check": "coefficient"}, rows, joint(a, b).coeffs
         )
     for m in (1, 2, 3, 4):
         run_side = joint(m, 1).substitute(q=1, p=_Q_MONO)
@@ -519,19 +517,18 @@ def _groups_joint(order: int) -> list[dict]:
 
 def _groups_rho_tail(order: int) -> list[dict]:
     cases = (("1", 2), ("11", 1), ("12", 1), ("1", 3), ("12", 2))
+    patterns = [RhoTail(parse_sequence(rho), b).pattern() for rho, b in cases]
+    series = {case: formulas.gf_rho_1b(*case, order) for case in cases}
+    all_rows = stats.batch_distribution_rows(order - 1, patterns)
     cells = []
-    for rho, b in cases:
-        pattern = RhoTail(parse_sequence(rho), b).pattern()
-        series = formulas.gf_rho_1b(rho, b, order)
-        rows = stats.distribution_rows(order - 1, pattern)
+    by_len: dict[int, list[tuple[str, int]]] = {}
+    for case, pattern, rows in zip(cases, patterns, all_rows):
         cells += _compare(
             {"pattern": format_sequence(pattern.word), "check": "coefficient"},
             rows,
-            series.coeffs,
+            series[case].coeffs,
         )
-    by_len: dict[int, list[tuple[str, int]]] = {}
-    for rho, b in cases:
-        by_len.setdefault(len(parse_sequence(rho)) + b, []).append((rho, b))
+        by_len.setdefault(len(pattern.word), []).append(case)
     for _length, members in sorted(by_len.items()):
         for (rho1, b1), (rho2, b2) in itertools.combinations(members, 2):
             cells.append(
@@ -541,18 +538,17 @@ def _groups_rho_tail(order: int) -> list[dict]:
                         "second": {"rho": rho2, "b": b2},
                         "check": "length-invariance",
                     },
-                    formulas.gf_rho_1b(rho1, b1, order)
-                    - formulas.gf_rho_1b(rho2, b2, order),
+                    series[rho1, b1] - series[rho2, b2],
                 )
             )
     return cells
 
 
 def _groups_sandwich(order: int) -> list[dict]:
+    taus = ("121", "1121", "1211", "1221", "1231")
     cells = []
-    for tau in ("121", "1121", "1211", "1221", "1231"):
+    for tau, rows in zip(taus, stats.batch_distribution_rows(order - 1, taus)):
         series = formulas.closed_series(classify_pattern(tau), order)
-        rows = stats.distribution_rows(order - 1, tau)
         cells += _compare({"pattern": tau, "check": "coefficient"}, rows, series.coeffs)
     for a, rho, b in ((2, "1", 1), (3, "1", 1), (2, "11", 1), (2, "12", 1)):
         cells.append(
@@ -566,11 +562,12 @@ def _groups_sandwich(order: int) -> list[dict]:
 
 
 def _groups_staircase(order: int) -> list[dict]:
+    cases = ((2, 2), (3, 2), (2, 3), (3, 3))
+    patterns = [StaircaseTail(m, a).pattern() for m, a in cases]
     cells = []
-    for m, a in ((2, 2), (3, 2), (2, 3), (3, 3)):
+    for (m, a), rows in zip(cases, stats.batch_distribution_rows(order - 1, patterns)):
         closed = formulas.gf_staircase_tail(m, a, order)
         recurred = staircase_series_by_recurrence(m, a, order)
-        rows = stats.distribution_rows(order - 1, StaircaseTail(m, a).pattern())
         per_n = zip(
             _compare({"m": m, "a": a, "check": "closed"}, rows, closed.coeffs),
             _compare({"m": m, "a": a, "check": "recurrence"}, rows, recurred.coeffs),
@@ -581,20 +578,22 @@ def _groups_staircase(order: int) -> list[dict]:
 
 def _groups_staircase_joint(order: int) -> list[dict]:
     m, a = 2, 2
+    rows = stats.rep_joint_rows(order - 1, StaircaseTail(m, a).pattern())
+    series = {
+        v: formulas.gf_staircase_joint_rep(m, a, order, v_value=v)
+        for v in map(Fraction, (0, 2, 3, 1))
+    }
     cells = []
-    for v in map(Fraction, (0, 2, 3, 1)):
-        series = formulas.gf_staircase_joint_rep(m, a, order, v_value=v)
-        rows = stats.rep_joint_rows(order - 1, StaircaseTail(m, a).pattern())
+    for v, joint in series.items():
         cells += _compare(
             {"m": m, "a": a, "v": str(v), "check": "coefficient"},
             [row.substitute(v=v) for row in rows],
-            series.coeffs,
+            joint.coeffs,
         )
     cells.append(
         _zero_cell(
             {"m": m, "a": a, "check": "collapse-at-one"},
-            formulas.gf_staircase_joint_rep(m, a, order, v_value=1)
-            - formulas.gf_staircase_tail(m, a, order),
+            series[1] - formulas.gf_staircase_tail(m, a, order),
         )
     )
     return cells

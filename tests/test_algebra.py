@@ -160,6 +160,36 @@ def test_substitute():
         poly.substitute(w=1)
 
 
+def _evaluate(poly, point):
+    """The value of ``poly`` at the rational point (q, p, v)."""
+    total = Fraction(0)
+    for exps, coeff in poly.items():
+        term = Fraction(coeff)
+        for value, e in zip(point, exps):
+            term *= Fraction(value) ** e
+        total += term
+    return total
+
+
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    max_size=5,
+).map(MultiPoly)
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys, small_polys, small_rationals, st.tuples(*[small_rationals] * 3))
+@example(Q**2 * P + P * V, Q, Fraction(1), (Fraction(2), Fraction(3), Fraction(5)))
+def test_substitute_evaluates_as_the_composition(a, b, r, point):
+    """a(q = r, p = b) at (q, p, v) is a at (r, b(q, p, v), v); b = q is
+    the p -> q rename thm2.1 applies."""
+    result = a.substitute(q=r, p=b)
+    assert _evaluate(result, point) == _evaluate(a, (r, _evaluate(b, point), point[2]))
+    assert _is_canonical(result)
+
+
 def test_str_canonical_forms():
     assert str(MultiPoly.zero()) == "0"
     assert str(MultiPoly.const(4) + Q) == "4 + q"

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface (in-process)."""
 
 import argparse
+import collections
 import contextlib
 import io
 import itertools
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncpart import cli, stats
+from ncpart import cli, formulas, stats
+from ncpart.algebra import MultiPoly
 from ncpart.cli import build_parser, entry, run_verify_target
 from ncpart.core import (
     DEFAULT_ENUM_LIMIT,
@@ -463,6 +465,62 @@ def test_verify_defaults_to_every_size_the_rows_serve(capsys, monkeypatch, targe
         c["n"] for c in reports[0]["cells"] if c["params"]["check"] == "coefficient"
     }
     assert coeff_ns == set(range(DEFAULT_ENUM_LIMIT + 1))
+
+
+def test_verify_does_each_piece_of_work_once(capsys, monkeypatch):
+    # Calls counted per target over one "verify --target all": each suite
+    # builds each series once and fetches its rows in one batch.
+    calls = collections.Counter()
+    running = [None]
+    for module, name in (
+        (formulas, "gf_rho_1b"),
+        (formulas, "gf_staircase_joint_rep"),
+        (stats, "rep_joint_rows"),
+        (stats, "distribution_rows"),
+    ):
+        def counted(*args, _name=name, _inner=getattr(module, name), **kwargs):
+            calls[running[0], _name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    for target, suite in list(cli._VERIFY.items()):
+        def tagged(order, _target=target, _suite=suite):
+            running[0] = _target
+            return _suite(order)
+
+        monkeypatch.setitem(cli._VERIFY, target, tagged)
+    assert run_cli(capsys, "verify", "--target", "all")[0] == 0
+    assert calls["thm2.4", "gf_rho_1b"] == 5
+    assert calls["thm3.3-joint", "gf_staircase_joint_rep"] == 4
+    assert calls["thm3.3-joint", "rep_joint_rows"] == 1
+    assert sum(n for (_, name), n in calls.items() if name == "distribution_rows") == 0
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (2, 1), (2, 2), (3, 2), (2, 3)])
+def test_thm21_equation_is_checked_at_the_engine_rows(monkeypatch, a, b):
+    # One count moved between two cells of the size-n joint row keeps its
+    # sum C_n.  The quadratic at the rows then leaves -(moved) at x^n, as
+    # A(0) = 0 and B(0) = 1; every other (a, b) and check still passes.
+    n, joint_rows = 6, stats.joint_rows
+
+    def moved_rows(n_max, tau1, tau2):
+        rows = joint_rows(n_max, tau1, tau2)
+        if (tau1, tau2) == ((1,) * a, (1,) * b + (2,)):
+            (source, _), (target, _) = list(rows[n].items())[:2]
+            rows[n] += MultiPoly({target: 1}) - MultiPoly({source: 1})
+        return rows
+
+    monkeypatch.setattr(stats, "joint_rows", moved_rows)
+    report = run_verify_target("thm2.1", 10)
+    failed = [c for c in report["cells"] if c["status"] == "fail"]
+    assert [(c["params"], c["n"]) for c in failed] == [
+        ({"a": a, "b": b, "check": "equation"}, None),
+        ({"a": a, "b": b, "check": "coefficient"}, n),
+    ]
+    source, target = (term["exponents"] for term in failed[1]["actual"][:2])
+    assert failed[0]["actual"] == [
+        {"exponents": source, "coeff": "1"}, {"exponents": target, "coeff": "-1"}
+    ]
 
 
 @pytest.mark.parametrize("order", ["1", "18", "25"])

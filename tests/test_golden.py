@@ -100,6 +100,7 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("verify", "--target", "table1", "--order", "17"),
     ("verify", "--target", "table1", "--order", "18"),
     ("verify", "--target", "all", "--order", "10"),
+    ("verify", "--target", "all"),
 )
 
 
