@@ -46,6 +46,7 @@ import itertools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
 
 from . import formulas, stats
@@ -64,6 +65,7 @@ from .core import (
     SubwordPattern,
     _chain_links,
     _check_size,
+    _occurs_at,
     as_pattern,
     catalan,
     classify_pattern,
@@ -74,7 +76,6 @@ from .core import (
 )
 from .errors import NcpartError, UnsupportedFamily
 from .recurrence import recurrence_table, staircase_series_by_recurrence
-from .stats import _occurrences
 
 __all__ = [
     "TABLE1_PATTERNS",
@@ -206,9 +207,45 @@ def _require_method(family: PatternFamily, method: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _dumps(obj: object, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for str-keyed dicts,
+    lists, tuples, str, int, bool and None; anything else (a float, a
+    ``Fraction``, a non-str key) is a ``TypeError``.  Each container joins
+    its items as soon as they are written; ``pad`` is the newline and
+    indent of the container's own line.  Dicts, the commonest node of a
+    verify report, are tested first."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": " + _dumps(value, inner))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        items = [_dumps(value, inner) for value in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _output(args: argparse.Namespace, lines: Sequence[str], obj: object) -> None:
     if args.fmt == "json":
-        print(json.dumps(obj, indent=2))
+        print(_dumps(obj))
     else:
         for line in lines:
             print(line)
@@ -682,27 +719,52 @@ def _groups_totals(order: int) -> list[dict]:
     return cells
 
 
+def _prefix_counts(
+    cap: int, words: Sequence[tuple[int, ...]]
+) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each word's occurrence count in every partition of size 1..cap,
+    keyed by the partition's letters.  Every prefix of a canonical
+    non-crossing word is one, so a partition's counts are its prefix's
+    plus one chain-link test of its last window per word."""
+    links = [(len(word), _chain_links(word)) for word in words]
+    counts = {(): (0,) * len(words)}
+    for n in range(1, cap + 1):
+        # (word index, start of the last window, chain links) of each word
+        # that fits in size n.
+        fits = [
+            (i, n - length, chain)
+            for i, (length, chain) in enumerate(links)
+            if length <= n
+        ]
+        for pi in iter_nc(n):
+            letters = pi.letters
+            row = list(counts[letters[:-1]])
+            for i, start, chain in fits:
+                if _occurs_at(letters, start, chain):
+                    row[i] += 1
+            counts[letters] = tuple(row)
+    return counts
+
+
 def _groups_equidistribution(order: int) -> list[dict]:
     exchange_cap = min(order - 1, 8)
     pairs = [
         (a, m, RunStaircase(a, m).pattern(), StaircaseTail(m, a).pattern())
         for a, m in ((2, 2), (2, 3), (3, 2))
     ]
-    # Each pattern's (length, chain links), resolved once for the sweep.
-    links = [
-        tuple((len(pattern.word), _chain_links(pattern.word)) for pattern in pair[2:])
-        for pair in pairs
-    ]
-    # One sweep maps each partition once and checks every pair on its image.
+    counts = _prefix_counts(
+        exchange_cap, [pattern.word for pair in pairs for pattern in pair[2:]]
+    )
+    # One sweep maps each partition once; its image, a partition of the
+    # same size, reads its counts from the same table.  Pair p's two words
+    # sit at 2p and 2p + 1.
     mismatches = [0] * len(pairs)
     for n in range(1, exchange_cap + 1):
         for pi in iter_nc(n):
-            letters = pi.letters
-            image = map_descent_code(pi).letters
-            for p, (first, second) in enumerate(links):
-                if _occurrences(letters, *first) != _occurrences(
-                    image, *second
-                ) or _occurrences(letters, *second) != _occurrences(image, *first):
+            mine = counts[pi.letters]
+            theirs = counts[map_descent_code(pi).letters]
+            for p in range(len(pairs)):
+                if mine[2 * p] != theirs[2 * p + 1] or mine[2 * p + 1] != theirs[2 * p]:
                     mismatches[p] += 1
     cells = []
     for (a, m, first, second), missed in zip(pairs, mismatches):
@@ -797,10 +859,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = reports[0]
     lines = [line for r in reports for line in _verify_text(r)]
     lines.append(f"verification {'passed' if status == 'pass' else 'failed'}")
+    # One encoding serves both --out and a JSON stdout.
+    encoded = _dumps(report) if args.out or args.fmt == "json" else ""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-    _output(args, lines, report)
+            fh.write(encoded)
+    print(encoded if args.fmt == "json" else "\n".join(lines))
     return 0 if status == "pass" else 1
 
 

@@ -3,12 +3,14 @@
 import argparse
 import collections
 import contextlib
+import hashlib
 import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,10 +23,11 @@ from ncpart.core import (
     DEFAULT_ENUM_LIMIT,
     RunStaircase,
     StaircaseTail,
+    _chain_links,
     as_ncpartition,
     iter_nc,
 )
-from ncpart.stats import count_subword
+from ncpart.stats import _occurrences, count_subword
 
 
 def run_cli(capsys, *args):
@@ -370,6 +373,58 @@ def test_equivclasses_reaches_past_size_ten(capsys):
 
 
 # ---------------------------------------------------------------------------
+# JSON output
+# ---------------------------------------------------------------------------
+
+# Full unicode, lone surrogates included, so quotes, backslashes, control
+# characters and non-BMP code points all reach the encoder.
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64)
+    | st.integers(max_value=-(2**64))
+    | _TEXT
+)
+
+
+def _json_trees(depth):
+    if depth == 0:
+        return _SCALARS
+    inner = _json_trees(depth - 1)
+    return (
+        _SCALARS
+        | st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_TEXT, inner, max_size=4)
+    )
+
+
+@given(_json_trees(4))
+@example({"": [], "\"\\\x00\x1f\x7f\u2028\U0001f600": {"k": ((), {}, [None])}})
+@example([True, False, -(2**70), 2**64 + 1, "\ud800"])
+@settings(max_examples=300, deadline=None)
+def test_dumps_is_the_json_module_indent_2_text(obj):
+    assert cli._dumps(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        1.5,
+        Fraction(1, 2),
+        MultiPoly.one(),
+        {1: "int key"},
+        {"nested": [0, {"x": float("nan")}]},
+    ],
+)
+def test_dumps_rejects_every_other_type(obj):
+    with pytest.raises(TypeError):
+        cli._dumps(obj)
+
+
+# ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
@@ -410,6 +465,33 @@ def test_verify_unwritable_out_fails_before_the_suite(capsys, tmp_path, monkeypa
     assert err.startswith("error:") and "report.json" in err
 
 
+def test_verify_out_and_json_stdout_share_one_encoding(capsys, tmp_path, monkeypatch):
+    # One encoding serves both places: the file holds the indent=2 text with
+    # no trailing newline, stdout the same text plus one.
+    top_level = []
+    inner = cli._dumps
+
+    def counted(obj, pad="\n"):
+        if pad == "\n":
+            top_level.append(obj)
+        return inner(obj, pad)
+
+    monkeypatch.setattr(cli, "_dumps", counted)
+    out_file = tmp_path / "report.json"
+    code, out, _ = run_cli(
+        capsys,
+        "verify", "--target", "thm2.4", "--order", "8", "--format", "json",
+        "--out", str(out_file),
+    )
+    assert code == 0
+    data = out_file.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "1163ecdc277e08f2bf81c173312ffcfd721ad21fa98c48d479879d4babcc22ca"
+    )
+    assert out == data.decode("utf-8") + "\n"
+    assert len(top_level) == 1
+
+
 def test_thm35_catches_a_map_that_breaks_the_exchange(capsys, monkeypatch):
     # With the identity in place of the involution, each (a, m) pair must
     # count its own broken partitions, however the sweep is shared.
@@ -440,6 +522,70 @@ def test_thm35_catches_a_map_that_breaks_the_exchange(capsys, monkeypatch):
     )
     assert entry(["verify", "--target", "thm3.5", "--order", "9"]) == 1
     assert "target thm3.5: FAIL" in capsys.readouterr().out
+
+
+def test_thm35_compares_both_counts_of_each_pair(monkeypatch):
+    # A map onto the one-block partition is no involution, and no pattern
+    # occurs in its image, so a pair breaks wherever either count is
+    # nonzero; a sweep that compared one direction only would count fewer.
+    monkeypatch.setattr(
+        cli, "map_descent_code", lambda pi: as_ncpartition("1" * len(pi))
+    )
+    report = run_verify_target("thm3.5", 9)
+    exchange = [
+        c for c in report["cells"] if c["params"]["check"] == "code-reversal-exchange"
+    ]
+    assert len(exchange) == 3
+    for cell in exchange:
+        a, m = cell["params"]["a"], cell["params"]["m"]
+        first = RunStaircase(a, m).pattern()
+        second = StaircaseTail(m, a).pattern()
+        partitions = [pi for n in range(1, 9) for pi in iter_nc(n)]
+        broken = sum(
+            bool(count_subword(pi, first) or count_subword(pi, second))
+            for pi in partitions
+        )
+        one_way = sum(count_subword(pi, first) != 0 for pi in partitions)
+        assert cell["actual"] == broken > one_way
+
+
+_THM35_WORDS = [
+    pattern.word
+    for a, m in ((2, 2), (2, 3), (3, 2))
+    for pattern in (RunStaircase(a, m).pattern(), StaircaseTail(m, a).pattern())
+]
+
+
+def test_prefix_counts_equal_full_scans():
+    counts = cli._prefix_counts(8, _THM35_WORDS)
+    links = [(len(word), _chain_links(word)) for word in _THM35_WORDS]
+    checked = 0
+    for n in range(1, 9):
+        for pi in iter_nc(n):
+            assert counts[pi.letters] == tuple(
+                _occurrences(pi.letters, *link) for link in links
+            )
+            checked += 1
+    assert checked == 2055
+
+
+def test_thm35_maps_each_partition_once_without_full_scans(monkeypatch):
+    calls = collections.Counter()
+
+    def counting(name, inner):
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return counted
+
+    monkeypatch.setattr(
+        cli, "map_descent_code", counting("map", cli.map_descent_code)
+    )
+    monkeypatch.setattr(stats, "_occurrences", counting("scan", stats._occurrences))
+    assert not hasattr(cli, "_occurrences")
+    assert run_verify_target("thm3.5", 10)["status"] == "pass"
+    assert calls == {"map": 2055}
 
 
 def test_verify_checks_every_coefficient_below_the_order():
