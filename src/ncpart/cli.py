@@ -49,11 +49,10 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
 
-from . import formulas, stats
+from . import core, formulas, stats
 from .algebra import MultiPoly, TruncatedSeries, catalan_series
 from .bijections import map_descent_code, map_equiv, map_f, map_g, map_runrev
 from .core import (
-    DEFAULT_ENUM_LIMIT,
     PatternFamily,
     RhoTail,
     Run,
@@ -89,10 +88,6 @@ __all__ = [
 #: Hard ceiling on requested series orders.
 MAX_ORDER = 24
 
-#: The orders ``verify`` and its suites accept.  The top, every target's
-#: default, is the largest order whose every coefficient the rows serve.
-_VERIFY_ORDERS = (2, DEFAULT_ENUM_LIMIT + 1)
-
 #: ``--family`` name -> family class; the class's fields are its flags.
 _FAMILIES: dict[str, type] = {
     "run": Run,
@@ -120,11 +115,16 @@ def _checked(args: argparse.Namespace) -> argparse.Namespace:
         args.n_range = _parse_range(args.n_range)
     order = getattr(args, "order", None)
     if order is not None:
-        bounds = _VERIFY_ORDERS if args.subcommand == "verify" else (1, MAX_ORDER)
+        bounds = _verify_orders() if args.subcommand == "verify" else (1, MAX_ORDER)
         _check_order(order, *bounds)
     if getattr(args, "n", None) is not None:
         _check_size(args.n)
     return args
+
+
+def _verify_orders() -> tuple[int, int]:
+    """The orders verify accepts; the top, its default, is the size cap + 1."""
+    return 2, core.DEFAULT_ENUM_LIMIT + 1
 
 
 def _check_order(order: int, lo: int, hi: int) -> None:
@@ -558,16 +558,14 @@ def _groups_rho_tail(order: int) -> list[dict]:
     series = {case: formulas.gf_rho_1b(*case, order) for case in cases}
     all_rows = stats.batch_distribution_rows(order - 1, patterns)
     cells = []
-    by_len: dict[int, list[tuple[str, int]]] = {}
     for case, pattern, rows in zip(cases, patterns, all_rows):
         cells += _compare(
             {"pattern": format_sequence(pattern.word), "check": "coefficient"},
             rows,
             series[case].coeffs,
         )
-        by_len.setdefault(len(pattern.word), []).append(case)
-    for _length, members in sorted(by_len.items()):
-        for (rho1, b1), (rho2, b2) in itertools.combinations(members, 2):
+    for (rho1, b1), (rho2, b2) in itertools.combinations(cases, 2):
+        if len(rho1) + b1 == len(rho2) + b2:  # Theorem 2.4: equal lengths
             cells.append(
                 _zero_cell(
                     {
@@ -752,12 +750,12 @@ def _groups_equidistribution(order: int) -> list[dict]:
         (a, m, RunStaircase(a, m).pattern(), StaircaseTail(m, a).pattern())
         for a, m in ((2, 2), (2, 3), (3, 2))
     ]
-    counts = _prefix_counts(
-        exchange_cap, [pattern.word for pair in pairs for pattern in pair[2:]]
-    )
+    words = [pattern.word for pair in pairs for pattern in pair[2:]]
+    counts = _prefix_counts(exchange_cap, words)
+    all_rows = stats.batch_distribution_rows(order - 1, words)
     # One sweep maps each partition once; its image, a partition of the
     # same size, reads its counts from the same table.  Pair p's two words
-    # sit at 2p and 2p + 1.
+    # sit at 2p and 2p + 1, in the counts and in the rows.
     mismatches = [0] * len(pairs)
     for n in range(1, exchange_cap + 1):
         for pi in iter_nc(n):
@@ -767,9 +765,10 @@ def _groups_equidistribution(order: int) -> list[dict]:
                 if mine[2 * p] != theirs[2 * p + 1] or mine[2 * p + 1] != theirs[2 * p]:
                     mismatches[p] += 1
     cells = []
-    for (a, m, first, second), missed in zip(pairs, mismatches):
-        rows = stats.batch_distribution_rows(order - 1, [first, second])
-        cells += _compare({"a": a, "m": m, "check": "equidistribution"}, *rows)
+    for p, ((a, m, _, _), missed) in enumerate(zip(pairs, mismatches)):
+        cells += _compare(
+            {"a": a, "m": m, "check": "equidistribution"}, *all_rows[2 * p : 2 * p + 2]
+        )
         cells.append(
             _cell(
                 {"a": a, "m": m, "check": "code-reversal-exchange"},
@@ -797,7 +796,7 @@ _VERIFY: dict[str, Callable[[int], list[dict]]] = {
 
 
 def _report(target: str, order: int, suite: Callable[[int], list[dict]]) -> dict:
-    _check_order(order, *_VERIFY_ORDERS)
+    _check_order(order, *_verify_orders())
     cells = suite(order)
     status = "pass" if all(c["status"] == "pass" for c in cells) else "fail"
     return {"target": target, "order": order, "status": status, "cells": cells}
@@ -809,12 +808,13 @@ def run_verify_target(target: str, order: int) -> dict:
 
 
 def verify_table1(
-    order: int = _VERIFY_ORDERS[1], mutation: MutationSlot | None = None
+    order: int | None = None, mutation: MutationSlot | None = None
 ) -> dict:
-    """The ``table1`` report, with ``mutation`` (one slot of
-    :func:`table1_mutation_slots`) first adding 1 to that stored equation
-    coefficient; the deliberate-mutation self-test uses this to prove the
-    suite would catch a wrong table."""
+    """The ``table1`` report at ``order`` (None: verify's default), with
+    ``mutation`` (one slot of :func:`table1_mutation_slots`) first adding
+    1 to that stored equation coefficient; the deliberate-mutation
+    self-test uses this to prove the suite would catch a wrong table."""
+    order = _verify_orders()[1] if order is None else order
     report = _report("table1", order, lambda k: _groups_table1(k, mutation))
     if mutation is not None:
         report["mutation"] = list(mutation[:3]) + [list(mutation[3])]
@@ -844,7 +844,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 pass
         except OSError as exc:
             raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
-    order = args.order or _VERIFY_ORDERS[1]
+    order = args.order or _verify_orders()[1]
     targets = list(_VERIFY) if target == "all" else [target]
     reports = [run_verify_target(t, order) for t in targets]
     status = "pass" if all(r["status"] == "pass" for r in reports) else "fail"

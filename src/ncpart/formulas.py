@@ -23,6 +23,7 @@ from .algebra import (
     DEFAULT_ORDER,
     MultiPoly,
     TruncatedSeries,
+    _as_rational,
     series_div,
     series_sqrt,
     solve_poly_functional,
@@ -279,7 +280,7 @@ def gf_staircase_joint_rep(
     evaluated directly.
     """
     StaircaseTail(m, a)
-    v = Fraction(v_value)
+    v = Fraction(_as_rational(v_value))
     q = _q()
     one = MultiPoly.one()
     y = gf_staircase_tail(m, a, order)
@@ -429,9 +430,7 @@ def closed_series(family: PatternFamily, order: int) -> TruncatedSeries:
     """The closed generating series (marker q) of a structured family."""
     forms = CLOSED_FORMS.get(type(family))
     if forms is None:
-        raise UnsupportedFamily(
-            "no closed form covers this pattern; applicable methods: brute, transfer"
-        )
+        raise UnsupportedFamily(f"no closed form covers pattern {family.pattern().text!r}")
     return forms[0](family, order)
 
 

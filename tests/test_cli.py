@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncpart import cli, formulas, stats
+from ncpart import cli, core, formulas, stats
 from ncpart.algebra import MultiPoly
 from ncpart.cli import build_parser, entry, run_verify_target
 from ncpart.core import (
@@ -623,6 +623,7 @@ def test_verify_does_each_piece_of_work_once(capsys, monkeypatch):
         (formulas, "gf_staircase_joint_rep"),
         (stats, "rep_joint_rows"),
         (stats, "distribution_rows"),
+        (stats, "batch_distribution_rows"),
     ):
         def counted(*args, _name=name, _inner=getattr(module, name), **kwargs):
             calls[running[0], _name] += 1
@@ -640,6 +641,20 @@ def test_verify_does_each_piece_of_work_once(capsys, monkeypatch):
     assert calls["thm3.3-joint", "gf_staircase_joint_rep"] == 4
     assert calls["thm3.3-joint", "rep_joint_rows"] == 1
     assert sum(n for (_, name), n in calls.items() if name == "distribution_rows") == 0
+    batches = {t: n for (t, name), n in calls.items() if name == "batch_distribution_rows"}
+    assert batches == dict.fromkeys(
+        ("table1", "thm2.4", "thm2.7", "thm3.3", "totals", "thm3.5"), 1
+    )
+
+
+def test_lifting_the_size_cap_alone_lifts_the_verify_orders(capsys, monkeypatch):
+    code, _, err = run_cli(capsys, "verify", "--target", "thm2.4", "--order", "18")
+    assert code == 2 and err == "error: order must be between 2 and 17\n"
+    monkeypatch.setattr(core, "DEFAULT_ENUM_LIMIT", 17)
+    assert run_cli(capsys, "verify", "--target", "thm2.4", "--order", "18")[0] == 0
+    assert cli.verify_table1()["order"] == 18
+    code, _, err = run_cli(capsys, "verify", "--target", "thm2.4", "--order", "19")
+    assert code == 2 and err == "error: order must be between 2 and 18\n"
 
 
 @pytest.mark.parametrize("a, b", [(1, 1), (2, 1), (2, 2), (3, 2), (2, 3)])

@@ -139,7 +139,8 @@ def test_joint_specializes_to_single_pattern_series():
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("a", [2, 3, 4, 5])
 @pytest.mark.parametrize(
-    "v", [Fraction(0), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(-1, 3)]
+    "v",
+    [Fraction(0), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(-1, 3), Fraction(1, 10)],
 )
 def test_gf_staircase_joint_rep_matches_brute(m, a, v):
     order = 12
@@ -156,6 +157,12 @@ def test_gf_staircase_joint_rep_collapses_at_one():
     assert gf_staircase_joint_rep(3, 2, ORDER, v_value=1) == gf_staircase_tail(
         3, 2, ORDER
     )
+
+
+def test_gf_staircase_joint_rep_rejects_a_float_weight():
+    # 0.1 would otherwise run on its binary value, 3602879701896397/2^55.
+    with pytest.raises(TypeError, match="expected an exact rational, got float"):
+        gf_staircase_joint_rep(2, 2, ORDER, v_value=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +188,7 @@ def test_total_occurrences_matches_brute_derivative():
 def test_total_occurrences_rejects_generic():
     with pytest.raises(UnsupportedFamily):
         total_occurrences("212", 5)
-    with pytest.raises(UnsupportedFamily):
+    with pytest.raises(UnsupportedFamily, match="^no closed form covers pattern '212'$"):
         closed_series(classify_pattern("212"), 5)
     with pytest.raises(ValueError):
         total_occurrences("11", -1)
