@@ -44,6 +44,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -498,7 +499,7 @@ def _groups_table1(order: int, mutation: MutationSlot | None = None) -> list[dic
         terms[x_exp] = terms.get(x_exp, MultiPoly.zero()) + MultiPoly({exps: 1})
     all_rows = stats.batch_distribution_rows(order - 1, TABLE1_PATTERNS)
     cells = []
-    for (pattern, parts), rows in zip(equations.items(), all_rows):
+    for (pattern, parts), rows in zip(equations.items(), all_rows, strict=True):
         series = _table1_series(pattern, order)
         eq_a, eq_b, eq_c = (
             TruncatedSeries.from_x_poly(parts[key], order) for key in "ABC"
@@ -987,7 +988,16 @@ _HANDLERS: dict[str, Callable[[argparse.Namespace], int]] = {
 def entry(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.subcommand](_checked(args))
+        status = _HANDLERS[args.subcommand](_checked(args))
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout: send the unwritten rest, and the flush
+        # at exit, to the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     except (NcpartError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,6 @@ from .errors import FamilyViolation, InvalidPattern, LimitExceeded
 
 __all__ = [
     "DEFAULT_ENUM_LIMIT",
-    "CanonicalSeq",
     "NCPartition",
     "SubwordPattern",
     "Run",
@@ -33,7 +32,6 @@ __all__ = [
     "parse_sequence",
     "format_sequence",
     "is_restricted_growth",
-    "is_noncrossing",
     "is_noncrossing_pairwise",
     "is_canonical_nc",
     "iter_rgs",
@@ -50,7 +48,7 @@ __all__ = [
 DEFAULT_ENUM_LIMIT = 16
 
 Letters = tuple[int, ...]
-SequenceLike = Union["CanonicalSeq", Sequence[int], str]
+SequenceLike = Union["NCPartition", Sequence[int], str]
 
 
 def parse_sequence(text: str) -> Letters:
@@ -58,16 +56,16 @@ def parse_sequence(text: str) -> Letters:
 
     A digit string such as ``'1231'`` when every letter fits one digit;
     a comma-separated list such as ``'1,2,3,10'`` otherwise.  The empty
-    string denotes the empty sequence.
+    string denotes the empty sequence.  Letters are ASCII digits; spaces
+    may surround a comma-separated letter.
     """
     text = text.strip()
     if not text:
         return ()
-    if "," in text:
-        return tuple(int(part) for part in text.split(","))
-    if not text.isdigit():
+    parts = [part.strip() for part in text.split(",")] if "," in text else text
+    if not all(part.isascii() and part.isdigit() for part in parts):
         raise ValueError(f"cannot parse sequence text {text!r}")
-    return tuple(int(ch) for ch in text)
+    return tuple(map(int, parts))
 
 
 def format_sequence(letters: Sequence[int]) -> str:
@@ -80,7 +78,7 @@ def format_sequence(letters: Sequence[int]) -> str:
 
 
 def _letters_of(value: SequenceLike) -> Letters:
-    if isinstance(value, CanonicalSeq):
+    if isinstance(value, NCPartition):
         return value.letters
     if isinstance(value, str):
         return parse_sequence(value)
@@ -137,20 +135,9 @@ def is_canonical_nc(word: SequenceLike) -> bool:
     return _scan_canonical_nc(_letters_of(word)) == _CANONICAL_NC
 
 
-def is_noncrossing(word: SequenceLike) -> bool:
-    """Linear-time check that a restricted growth string is non-crossing.
-
-    Raises ValueError when the word is not restricted growth at all.
-    """
-    letters = _letters_of(word)
-    status = _scan_canonical_nc(letters)
-    if status == _NOT_RGS:
-        raise ValueError(f"not a restricted growth string: {letters!r}")
-    return status == _CANONICAL_NC
-
-
 def is_noncrossing_pairwise(word: SequenceLike) -> bool:
-    """Quadratic-time check of the same property, written independently.
+    """Quadratic-time check that a restricted growth string is non-crossing,
+    written independently of :func:`is_canonical_nc`.
 
     A crossing a-b-a-b (a < b) exists if and only if some position pair
     j < k has word[j] > word[k] while word[j] still occurs after k: the
@@ -173,58 +160,6 @@ def is_noncrossing_pairwise(word: SequenceLike) -> bool:
     return True
 
 
-class CanonicalSeq:
-    """A validated restricted growth string (canonical sequence)."""
-
-    __slots__ = ("letters",)
-
-    def __init__(self, letters: SequenceLike) -> None:
-        values = _letters_of(letters)
-        if not is_restricted_growth(values):
-            raise ValueError(f"not a restricted growth string: {values!r}")
-        _set_letters(self, values)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @property
-    def n(self) -> int:
-        return len(self.letters)
-
-    @property
-    def text(self) -> str:
-        return format_sequence(self.letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
-
-    def __getitem__(self, idx):
-        return self.letters[idx]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, CanonicalSeq):
-            return self.letters == other.letters
-        return NotImplemented
-
-    def __lt__(self, other: "CanonicalSeq") -> bool:
-        return self.letters < other.letters
-
-    def __hash__(self) -> int:
-        return hash(self.letters)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.text!r})"
-
-
-#: Store the one slot directly through its member descriptor (the class
-#: forbids attribute assignment).
-_set_letters = CanonicalSeq.letters.__set__
-_new = object.__new__
-
-
 def _check_canonical_nc(letters: Letters) -> None:
     """Raise the ValueError of a word that is not a canonical non-crossing
     sequence: the check of :class:`NCPartition`."""
@@ -235,10 +170,10 @@ def _check_canonical_nc(letters: Letters) -> None:
         raise ValueError(f"sequence has a crossing: {letters!r}")
 
 
-class NCPartition(CanonicalSeq):
+class NCPartition:
     """The canonical sequence of a non-crossing set partition."""
 
-    __slots__ = ()
+    __slots__ = ("letters",)
 
     def __init__(self, letters: SequenceLike) -> None:
         values = _letters_of(letters)
@@ -254,6 +189,13 @@ class NCPartition(CanonicalSeq):
         _set_letters(obj, letters)
         return obj
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def text(self) -> str:
+        return format_sequence(self.letters)
+
     @property
     def block_count(self) -> int:
         return max(self.letters) if self.letters else 0
@@ -264,6 +206,35 @@ class NCPartition(CanonicalSeq):
         for idx, v in enumerate(self.letters, start=1):
             out[v - 1].append(idx)
         return [tuple(block) for block in out]
+
+    def __len__(self) -> int:
+        return len(self.letters)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.letters)
+
+    def __getitem__(self, idx):
+        return self.letters[idx]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, NCPartition):
+            return self.letters == other.letters
+        return NotImplemented
+
+    def __lt__(self, other: "NCPartition") -> bool:
+        return self.letters < other.letters
+
+    def __hash__(self) -> int:
+        return hash(self.letters)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.text!r})"
+
+
+#: Store the one slot directly through its member descriptor (the class
+#: forbids attribute assignment).
+_set_letters = NCPartition.letters.__set__
+_new = object.__new__
 
 
 def as_ncpartition(value: SequenceLike) -> NCPartition:

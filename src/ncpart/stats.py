@@ -56,9 +56,6 @@ from .errors import EmptyPartition
 __all__ = [
     "count_subword",
     "rep",
-    "block_count",
-    "ascent_count",
-    "descent_count",
     "distribution",
     "joint_distribution",
     "rep_joint_distribution",
@@ -122,23 +119,6 @@ def rep(pi: PartitionLike) -> int:
             best = v
         seen.add(v)
     return best
-
-
-def block_count(pi: PartitionLike) -> int:
-    """Number of blocks (the largest letter; 0 for the empty partition)."""
-    return as_ncpartition(pi).block_count
-
-
-def ascent_count(pi: PartitionLike) -> int:
-    """Number of positions where the next letter is strictly larger."""
-    letters = as_ncpartition(pi).letters
-    return sum(1 for i in range(len(letters) - 1) if letters[i] < letters[i + 1])
-
-
-def descent_count(pi: PartitionLike) -> int:
-    """Number of positions where the next letter is strictly smaller."""
-    letters = as_ncpartition(pi).letters
-    return sum(1 for i in range(len(letters) - 1) if letters[i] > letters[i + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from ncpart.errors import (
     FamilyViolation,
     PatternLengthMismatch,
 )
-from ncpart.stats import block_count, count_subword
+from ncpart.stats import count_subword
 
 N_MAX = 7
 
@@ -99,7 +99,7 @@ def test_map_g_exchange_involution_blocks(sigma, b):
         assert count_subword(image, p2) == count_subword(pi, p1)
         assert count_subword(image, p1) == count_subword(pi, p2)
         assert map_g(image, sigma, b) == pi
-        assert block_count(image) == block_count(pi)
+        assert image.block_count == pi.block_count
 
 
 def test_map_g_does_not_depend_on_b():
@@ -168,7 +168,7 @@ def test_map_runrev_exchange_and_involution(a, rho, b):
         assert count_subword(image, p2) == count_subword(pi, p1)
         assert count_subword(image, p1) == count_subword(pi, p2)
         assert map_runrev(image, a, rho, b) == pi
-        assert block_count(image) == block_count(pi)
+        assert image.block_count == pi.block_count
 
 
 def test_map_runrev_depends_only_on_rho():
@@ -217,7 +217,7 @@ def test_map_descent_code_involution_and_invariants():
         for pi in iter_nc(n):
             image = map_descent_code(pi)
             assert map_descent_code(image) == pi
-            assert block_count(image) == block_count(pi)
+            assert image.block_count == pi.block_count
             bottoms, codes = descent_code(pi)
             assert descent_code(image) == (
                 bottoms,

@@ -826,6 +826,27 @@ def test_module_entry_point():
     assert proc.stdout.splitlines() == ["111", "112", "121", "122", "123"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enum", "--n", "12"],
+        ["verify", "--target", "all", "--order", "8", "--format", "json"],
+    ],
+    ids=["enum", "verify-json"],
+)
+def test_a_closed_pipe_exits_2_without_a_traceback(argv):
+    with subprocess.Popen(
+        [sys.executable, "-m", "ncpart", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.read(1)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    assert b"Traceback" not in err, err.decode()
+
+
 # ---------------------------------------------------------------------------
 # exit-code contract over arbitrary argv
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ncpart.core import (
     DEFAULT_ENUM_LIMIT,
-    CanonicalSeq,
     Generic,
     NCPartition,
     RhoTail,
@@ -27,7 +26,6 @@ from ncpart.core import (
     enumerate_nc,
     format_sequence,
     is_canonical_nc,
-    is_noncrossing,
     is_noncrossing_pairwise,
     is_restricted_growth,
     iter_nc,
@@ -49,10 +47,17 @@ def test_parse_sequence():
     assert parse_sequence("") == ()
     assert parse_sequence("1231") == (1, 2, 3, 1)
     assert parse_sequence("1,2,3,10") == (1, 2, 3, 10)
-    with pytest.raises(ValueError):
-        parse_sequence("1a2")
-    with pytest.raises(ValueError):
-        parse_sequence("1,,2")
+    assert parse_sequence(" 1, 2 ,10 ") == (1, 2, 10)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1a2", "1,,2", "1,2,", ",1", "1 2,3", "1²", "١١٢", "1,٢", "+1,2", "1_0,2"],
+)
+def test_parse_sequence_takes_only_ascii_digits(text):
+    with pytest.raises(ValueError) as caught:
+        parse_sequence(text)
+    assert str(caught.value) == f"cannot parse sequence text {text!r}"
 
 
 def test_format_sequence():
@@ -84,11 +89,12 @@ def test_is_restricted_growth():
     assert not is_restricted_growth((1, 2, 4))
 
 
-def test_is_noncrossing():
-    assert is_noncrossing((1, 2, 1))
-    assert is_noncrossing((1, 2, 2, 1, 1, 3))
-    assert not is_noncrossing((1, 2, 1, 2))
-    assert not is_noncrossing((1, 2, 3, 1, 3, 2))
+def test_is_canonical_nc():
+    assert is_canonical_nc((1, 2, 1))
+    assert is_canonical_nc((1, 2, 2, 1, 1, 3))
+    assert not is_canonical_nc((1, 2, 1, 2))
+    assert not is_canonical_nc((1, 2, 3, 1, 3, 2))
+    assert not is_canonical_nc((2, 1))
 
 
 def test_ncpartition_validation():
@@ -134,10 +140,10 @@ def test_one_pass_check_agrees_with_the_pairwise_oracle(letters):
     assert is_canonical_nc(word) == (expected is None)
     assert is_canonical_nc(list(word)) == is_canonical_nc(format_sequence(word))
     if is_restricted_growth(word):
-        assert is_noncrossing(word) == is_noncrossing_pairwise(word)
+        assert is_canonical_nc(word) == is_noncrossing_pairwise(word)
     else:
         with pytest.raises(ValueError, match="not a restricted growth string"):
-            is_noncrossing(word)
+            is_noncrossing_pairwise(word)
     if expected is None:
         assert NCPartition(list(word)).letters == word
     else:
@@ -171,33 +177,31 @@ def test_blocks_and_block_count():
     assert pi.blocks() == [(1, 3, 6, 7), (2,), (4, 5)]
 
 
-def test_canonicalseq_ordering_and_hash():
-    a, b = CanonicalSeq("112"), CanonicalSeq("121")
+def test_ncpartition_ordering_and_hash():
+    a, b = NCPartition("112"), NCPartition("121")
     assert a < b
-    assert len({CanonicalSeq("112"), CanonicalSeq("112"), b}) == 2
+    assert len({NCPartition("112"), NCPartition("112"), b}) == 2
 
 
-def test_canonicalseq_is_a_read_only_sequence():
-    seq = CanonicalSeq("1213")
-    assert seq.n == len(seq) == 4
+def test_ncpartition_is_a_read_only_sequence():
+    seq = NCPartition("1213")
+    assert len(seq) == 4
     assert list(seq) == [1, 2, 1, 3]
     assert (seq[1], seq[-1], seq[1:3]) == (2, 3, (2, 1))
-    assert repr(seq) == "CanonicalSeq('1213')"
-    assert repr(NCPartition("1221")) == "NCPartition('1221')"
+    assert repr(seq) == "NCPartition('1213')"
     with pytest.raises(ValueError, match="not a restricted growth string"):
-        CanonicalSeq("21")
+        NCPartition("21")
 
 
 @pytest.mark.parametrize(
     "value, attr",
     [
-        (CanonicalSeq("12"), "letters"),
         (NCPartition("1213"), "letters"),
         (NCPartition("1213"), "extra"),
         (SubwordPattern("112"), "word"),
         (SubwordPattern("112"), "extra"),
     ],
-    ids=["seq", "partition", "partition-new", "pattern", "pattern-new"],
+    ids=["partition", "partition-new", "pattern", "pattern-new"],
 )
 def test_value_types_refuse_assignment(value, attr):
     before = repr(value)
@@ -226,7 +230,7 @@ def test_enumerate_nc_is_sorted_and_valid():
     assert parts == sorted(parts)
     assert len(set(parts)) == len(parts)
     for p in parts:
-        assert is_restricted_growth(p.letters) and is_noncrossing(p.letters)
+        assert is_canonical_nc(p.letters)
 
 
 def test_iter_nc_is_the_noncrossing_growth_words_in_order():
@@ -249,7 +253,7 @@ def test_iter_rgs_counts_are_bell():
 
 def test_iter_nc_agrees_with_filtered_rgs():
     for n in range(8):
-        filtered = sorted(w for w in iter_rgs(n) if is_noncrossing(w))
+        filtered = sorted(w for w in iter_rgs(n) if is_canonical_nc(w))
         assert [p.letters for p in iter_nc(n)] == filtered
 
 

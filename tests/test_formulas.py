@@ -8,6 +8,7 @@ from ncpart.algebra import MultiPoly
 from ncpart.cli import (
     MAX_ORDER,
     TABLE1_PATTERNS,
+    _table1_equations,
     _totals_instances,
     table1_mutation_slots,
     verify_table1,
@@ -213,6 +214,10 @@ def test_closed_series_and_total_agree_up_to_the_served_order():
 
 def test_table1_patterns_are_frozen():
     assert TABLE1_PATTERNS == ("111", "112", "121", "122", "211", "212", "221")
+
+
+def test_table1_equations_are_stored_for_the_rows_in_order():
+    assert tuple(_table1_equations()) == TABLE1_PATTERNS
 
 
 def test_verify_table1_passes():

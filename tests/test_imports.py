@@ -7,15 +7,24 @@ Stdlib only: each module is parsed with ``ast``; the names its top-level
 ``__all__`` (re-exports) are exempt.  The private (single-underscore)
 functions, classes and constants defined at the top level of
 ``src/ncpart`` must each be read, as a name or an attribute, somewhere in
-the package.
+the package.  The package's own export list is its modules' lists, each
+name written once.
 """
 
 from __future__ import annotations
 
 import ast
+import collections
 import pathlib
 
 import pytest
+
+import ncpart
+
+#: The modules whose ``__all__`` the package re-exports, in import order.
+EXPORTING = (
+    "algebra", "bijections", "core", "errors", "cli", "formulas", "recurrence", "stats"
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -131,3 +140,18 @@ def test_every_private_top_level_name_is_read():
     package = ROOT / "src" / "ncpart"
     sources = {p.name: p.read_text(encoding="utf-8") for p in package.glob("*.py")}
     assert unread_private_names(sources) == []
+
+
+def test_no_name_is_exported_by_two_modules():
+    counts = collections.Counter(
+        name for module in EXPORTING for name in getattr(ncpart, module).__all__
+    )
+    assert [name for name, count in counts.items() if count > 1] == []
+
+
+def test_the_package_exports_its_modules_lists():
+    expected = ["__version__"]
+    for module in EXPORTING:
+        expected += getattr(ncpart, module).__all__
+    assert ncpart.__all__ == expected
+    assert [name for name in ncpart.__all__ if not hasattr(ncpart, name)] == []

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ncpart.algebra import MultiPoly, TruncatedSeries, _poly_from_clean
 from ncpart import core, formulas
 from ncpart.core import (
+    NCPartition,
     SubwordPattern,
     catalan,
     enumerate_nc,
@@ -21,11 +22,8 @@ from ncpart.core import (
 from ncpart.errors import EmptyPartition, InvalidPattern, LimitExceeded
 from ncpart import stats
 from ncpart.stats import (
-    ascent_count,
     batch_distribution_rows,
-    block_count,
     count_subword,
-    descent_count,
     distribution,
     distribution_rows,
     joint_distribution,
@@ -216,11 +214,11 @@ def test_rep_smallest_repeated_letter():
         rep("")
 
 
-def test_simple_counters():
-    assert block_count("1213311") == 3
-    assert block_count("") == 0
-    assert ascent_count("1213311") == 2
-    assert descent_count("1213311") == 2
+def test_blocks_ascents_and_descents_are_the_partition_and_subword_counts():
+    assert NCPartition("1213311").block_count == 3
+    assert NCPartition("").block_count == 0
+    assert count_subword("1213311", "12") == 2
+    assert count_subword("1213311", "21") == 2
 
 
 # ---------------------------------------------------------------------------
