@@ -15,10 +15,12 @@ int coefficients that sum to C_k at size k, at q = p = v = 1.
   window is only the longest suffix that could still start an occurrence,
   which keeps long patterns cheap, and it holds the top letters, so a state
   is a window shape plus k open letters below it: the states grow linearly
-  in the size (quadratically in "rep" mode).  Each call builds this
-  (shape, k) automaton, deriving each shape's moves once, and steps each
-  shape's weights over all k at once, k being a catalytic variable: the
-  move shared by every letter below the window is one running sum over k.
+  in the size (quadratically in "rep" mode).  Each call first builds this
+  (shape, k) automaton from the words alone (``_automaton``), deriving
+  every reachable shape's moves once, then packs the moves for its mode
+  into one table and steps each shape's weights over all k at once, k
+  being a catalytic variable: the move shared by every letter below the
+  window is one running sum over k.
   A weight packs its prefix counts, by occurrence count, into the cells
   of one int; no cell counts the prefixes themselves.
 - ``_walk`` (``engine="brute"``, the CLI's ``--method brute``) walks the
@@ -165,16 +167,8 @@ def _walk(n_max: int, word: Letters) -> list[MultiPoly]:
     return [_poly_from_clean({(c, 0, 0): m for c, m in t.items() if m}) for t in tables]
 
 
-# A state of the transfer engine is (shape, k, r).  The letters that still
-# matter are tokens in value order, "o" for an open letter and "c" for a
-# closed one inside the window, which is the longest suffix (at most L - 1
-# letters, L the longest word) that standardises to a proper prefix of a
-# word; earlier letters can take part in no later occurrence.  The window
-# holds the top tokens, so ``shape`` numbers, in this call's shape table,
-# (the tokens from the window's lowest up, the window's token indices
-# relative to that lowest), and ``k`` counts the open letters below it.
-# ``r`` is the token index of the smallest repeated letter (-1 if none).  A
-# level keys each (shape, r) to its weights at k = 0, 1, ... (0: no prefix).
+# A level keys each (shape id, r) group to its weights at k = 0, 1, ...
+# (0: no prefix); ``_automaton`` says what a shape and r are.
 Group = tuple[int, int]
 
 _CELL_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # ``struct`` codes by width
@@ -207,6 +201,85 @@ def _shape_after(stepped: str, window: Letters) -> tuple[tuple[str, Letters], in
     return shape, bottom
 
 
+def _automaton(words: tuple[Letters, ...]) -> list[list[tuple]]:
+    """The transfer engine's automaton for a tuple of words: by shape id,
+    the shape's moves, each (below, repeat, hits, next shape id, bottom).
+
+    A state of the transfer engine is (shape, k, r).  The letters that
+    still matter are tokens in value order, "o" for an open letter and "c"
+    for a closed one inside the window, which is the longest suffix (at
+    most L - 1 letters, L the longest word) that standardises to a proper
+    prefix of a word; earlier letters can take part in no later
+    occurrence.  The window holds the top tokens, so a shape is (the
+    tokens from the window's lowest up, the window's token indices
+    relative to that lowest), and ``k`` counts the open letters below it.
+    ``r`` is the token index of the smallest repeated letter (-1 if none).
+
+    The window sits at the top of the token order: every token from its
+    lowest up is in it.  A closed token outside the window is dropped.  An
+    open letter x above the window's lowest letter but outside the window
+    was last written before the window began; that lowest letter is below
+    x and written after it, so it closed x.  A state is therefore a window
+    shape with k open letters below it, asserted on every shape built and
+    so on every state.  Each shape's moves are derived once, with the
+    window's bottom taken as 0: the fresh letter, each open window token
+    i, then one move shared by every letter j below the window (below =
+    True).  That letter ranks below the whole window, so the hits and the
+    next shape do not depend on j; the letters between j and the window
+    close and, being outside it, are dropped, so j open letters stay below
+    the next window (j + 1 if it is empty).
+
+    The letter chosen repeats when it is open token k + i, or j:
+    ``repeat`` is i, 0 below the window and None for the fresh letter.
+    ``hits`` lists the index of each word a suffix of the new window
+    standardises to, so a word listed twice is hit twice, and ``bottom``
+    counts the open letters below the next window.  Shape 0 is the empty
+    prefix's, and the shapes are built outwards from it, so the table
+    holds every shape reachable from it; it depends on the words alone.
+    """
+    # length -> {word: its indices}: a word listed twice is hit twice.
+    by_length: dict[int, dict[Letters, list[int]]] = {}
+    for p, word in enumerate(words):
+        by_length.setdefault(len(word), {}).setdefault(word, []).append(p)
+    # The standardised proper prefixes of the words, tried longest first.
+    starts = {_standard_form(word[:m]) for word in words for m in range(1, len(word))}
+    lengths = sorted({len(start) for start in starts}, reverse=True)
+    # shape (tokens, window) -> its id, numbered in the order moves reach them
+    shapes: dict[tuple[str, Letters], int] = {("", ()): 0}
+
+    def move(stepped: str, w: Letters) -> tuple[list[int], int, int]:
+        """(hits, next shape, open letters below its window) of the letter
+        ending w, a window of token indices into ``stepped``, the tokens
+        after the step."""
+        hits = [
+            p
+            for length, table in by_length.items()
+            if length <= len(w)
+            for p in table.get(_standard_form(w[-length:]), ())
+        ]
+        # The longest suffix of w that standardises to a proper prefix of a
+        # word: no letter before it can be part of a later occurrence.
+        kept = (w[-m:] for m in lengths if m <= len(w))
+        window = next((suffix for suffix in kept if _standard_form(suffix) in starts), ())
+        shape, bottom = _shape_after(stepped, window)
+        return hits, shapes.setdefault(shape, len(shapes)), bottom
+
+    automaton: list[list[tuple]] = []
+    # Each round derives the moves of the shapes the last round reached.
+    while len(automaton) < len(shapes):
+        for tokens, window in list(shapes)[len(automaton) :]:
+            top = len(tokens)
+            out = [
+                (False, i if i < top else None)
+                + move(tokens[:i] + "o" + "c" * (top - i - 1), window + (i,))
+                for i, kind in enumerate(tokens + "o")  # index top is the fresh letter
+                if kind == "o"
+            ]
+            below = move("o" + "c" * top, tuple(i + 1 for i in window) + (0,))
+            automaton.append(out + [(True, 0) + below])
+    return automaton
+
+
 def _transfer(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
     """The rows of every size k <= n_max, from a transfer matrix: one list
     of rows (rows[k] over the size-k prefixes) per marginal.
@@ -224,21 +297,8 @@ def _transfer(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
     only the token indices of the window, and a closed letter is dropped
     once it leaves the window.  Every letter below the smallest repeated
     letter is open (closing one would repeat a smaller letter), so r's
-    letter is r + 1.
-
-    The window sits at the top of the token order: every token from its
-    lowest up is in it.  A closed token outside the window is dropped.  An
-    open letter x above the window's lowest letter but outside the window
-    was last written before the window began; that lowest letter is below
-    x and written after it, so it closed x.  A state is therefore a window
-    shape with k open letters below it, asserted on every shape built and
-    so on every state.  Each shape's moves are derived once, with the
-    window's bottom taken as 0: the fresh letter, each open window token,
-    and one move shared by every letter j below the window.  That letter
-    ranks below the whole window, so the hits and the next shape do not
-    depend on j; the letters between j and the window close and, being
-    outside it, are dropped, so j open letters stay below the next window
-    (j + 1 if it is empty).
+    letter is r + 1.  ``_automaton`` builds the states' shapes and each
+    shape's moves, once per call and before the first step.
 
     So the engine steps each (shape, r) vector of weights over k once per
     move of the shape.  A move up to window token or fresh letter i sends
@@ -253,8 +313,9 @@ def _transfer(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
     (p, c) at p * span + c, with no prefix-count cell, "joint" and "rep"
     put (c0, c1) at c0 * span + c1.  A hit moves cells up by a mask and a
     shift.  ``_rows`` checks the rows, as it checks every engine's.  The
-    shapes and moves live only in this call; the standard forms and next
-    shapes of windows are memoised across calls.
+    call packs its automaton's moves for its mode into one table by shape
+    id, which lives only in this call; the standard forms and next shapes
+    of windows are memoised across calls.
     """
     separate = mode == "separate"
     track_rep = mode == "rep"
@@ -264,87 +325,42 @@ def _transfer(mode: str, n_max: int, words: tuple[Letters, ...]) -> list:
     shortest = min(map(len, words), default=n_max + 1)
     span = 1 if track_rep else max(1, n_max + 2 - shortest)
     block = width * span
-    # length -> {word: its indices}: a word listed twice is hit twice.
-    by_length: dict[int, dict[Letters, list[int]]] = {}
-    for p, word in enumerate(words):
-        by_length.setdefault(len(word), {}).setdefault(word, []).append(p)
-    # The standardised proper prefixes of the words, tried longest first.
-    starts = {_standard_form(word[:m]) for word in words for m in range(1, len(word))}
-    lengths = sorted({len(start) for start in starts}, reverse=True)
-    shapes: dict[tuple[str, Letters], int] = {("", ()): 0}
-    shape_list = [("", ())]  # shape id -> (tokens, window)
-    moves: dict[int, tuple] = {}  # shape id -> its moves
 
-    def hit_shift(hits: list[int]) -> tuple[int, int, int]:
-        """(keep, mask, shift): a weight w hit by the step becomes
-        (w & keep) | (w & mask) << shift."""
+    def pack(below: bool, repeat: int | None, hits: list[int], sid: int, bottom: int) -> tuple:
+        """An automaton move as ``_step`` reads it: (below, repeat, keep,
+        mask, shift, next shape, bottom), where a weight w hit by the step
+        becomes (w & keep) | (w & mask) << shift.  Only "rep" mode keeps
+        ``repeat``; the others have None."""
         if not separate:
-            return 0, -1, width * (hits.count(0) * span + hits.count(1))
+            shift = width * (hits.count(0) * span + hits.count(1))
+            return below, repeat if track_rep else None, 0, -1, shift, sid, bottom
         mask = 0
         for p in hits:
             mask |= (1 << block) - 1 << block * p
-        return ~mask, mask, width if hits else 0
+        return below, None, ~mask, mask, width if hits else 0, sid, bottom
 
-    def move(stepped: str, w: Letters) -> tuple:
-        """(keep, mask, shift, next shape, open letters below its window) of
-        the letter ending w, a window of token indices into ``stepped``, the
-        tokens after the step; it hits each word a suffix of w standardises
-        to."""
-        hits = [
-            p
-            for length, table in by_length.items()
-            if length <= len(w)
-            for p in table.get(_standard_form(w[-length:]), ())
-        ]
-        # The longest suffix of w that standardises to a proper prefix of a
-        # word: no letter before it can be part of a later occurrence.
-        kept = (w[-m:] for m in lengths if m <= len(w))
-        window = next((suffix for suffix in kept if _standard_form(suffix) in starts), ())
-        shape, bottom = _shape_after(stepped, window)
-        sid = shapes.get(shape)
-        if sid is None:
-            sid = shapes[shape] = len(shape_list)
-            shape_list.append(shape)
-        return *hit_shift(hits), sid, bottom
-
-    def shape_moves(sid: int) -> tuple:
-        """A shape's moves, its window's bottom at 0, each (below, repeat,
-        *move): the fresh letter and each open window token i, then the one
-        move of every letter j below the window (below = True).  In "rep"
-        mode the letter chosen repeats when it is open token k + i, or j:
-        ``repeat`` is i, or 0 below the window; else it is None."""
-        tokens, window = shape_list[sid]
-        top = len(tokens)
-        out = tuple(
-            (False, i if track_rep and i < top else None)
-            + move(tokens[:i] + "o" + "c" * (top - i - 1), window + (i,))
-            for i, kind in enumerate(tokens + "o")  # index top is the fresh letter
-            if kind == "o"
-        )
-        below = move("o" + "c" * top, tuple(i + 1 for i in window) + (0,))
-        moves[sid] = out = out + ((True, 0 if track_rep else None) + below,)
-        return out
-
+    # Shape id -> its moves, packed for this mode before the first step.
+    moves = [[pack(*move) for move in shape_moves] for shape_moves in _automaton(words)]
     # The empty prefix: one prefix, every word at count 0.
     first = ((1 << block * len(words)) - 1) // ((1 << block) - 1) if separate else 1
     level: dict[Group, list[int]] = {(0, -1): [first]}
     by_size = []
     for size in range(n_max + 1):
         if size:
-            level = _step(level, moves.get, shape_moves)
+            level = _step(level, moves)
         by_size.append(_record(level, len(words), mode, width, span))
     return [list(rows) for rows in zip(*by_size)]
 
 
-def _step(level: dict, known, derive) -> dict:
+def _step(level: dict, moves: list) -> dict:
     """The next level: every (shape, r) vector of ``level`` stepped by each
-    of its shape's moves (``known(shape)`` or ``derive(shape)``)."""
+    of its shape's moves, ``moves[shape]`` as ``_transfer`` packs them."""
     nxt: dict[Group, list[int]] = {}
     for (sid, r), weights in level.items():
         # Below the window, letter j takes the prefixes of every k > j,
         # summed from the top down.
         above = list(accumulate(weights[:0:-1]))[::-1]
-        for below, repeat, keep, mask, shift, sid2, at in known(sid) or derive(sid):
+        for below, repeat, keep, mask, shift, sid2, at in moves[sid]:
             moved = above if below else weights
             if shift:
                 moved = [(w & keep) | (w & mask) << shift for w in moved]

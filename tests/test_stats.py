@@ -490,9 +490,10 @@ def test_transfer_states_per_size(monkeypatch, word):
 
 @pytest.mark.parametrize("word", ["12321", "1232145665"])
 def test_transfer_derives_moves_per_shape_not_per_state(monkeypatch, word):
-    # Once every shape is reached, a longer run standardises nothing more.
-    # The window memo outlives a call, so each run starts with it empty and
-    # counts every standardisation it misses.
+    # The automaton is built from the words before the first step, so a
+    # longer run standardises nothing more.  The window memo outlives a
+    # call, so each run starts with it empty and counts every
+    # standardisation it misses.
     calls = []
     standardise = stats._standardise
 
@@ -508,6 +509,56 @@ def test_transfer_derives_moves_per_shape_not_per_state(monkeypatch, word):
         stats._transfer("separate", n, (_letters(word),))
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+# Each STATES_AT_10_AND_20 word's automaton as (shapes, moves): a shape
+# has a move per open window token, one for the fresh letter and one below
+# the window.  By n = 30 the stepping loop meets every shape it builds.
+AUTOMATON_SIZES = {
+    "11": (2, 5),
+    "112": (3, 8),
+    "123": (3, 9),
+    "213": (3, 8),
+    "321": (3, 8),
+    "1122": (4, 12),
+    "12321": (5, 18),
+    "1232145665": (10, 42),
+}
+
+
+@pytest.mark.parametrize("word", sorted(AUTOMATON_SIZES))
+def test_automaton_sizes_and_every_shape_is_met_by_n_30(monkeypatch, word):
+    automaton = stats._automaton((_letters(word),))
+    assert (len(automaton), sum(map(len, automaton))) == AUTOMATON_SIZES[word]
+    met = set()
+    step = stats._step
+
+    def recording(level, moves):
+        nxt = step(level, moves)
+        met.update(sid for sid, _ in [*level, *nxt])
+        return nxt
+
+    monkeypatch.setattr(stats, "_step", recording)
+    stats._transfer("separate", 30, (_letters(word),))
+    assert met == set(range(len(automaton)))
+
+
+@pytest.mark.parametrize(
+    "mode, words",
+    [("separate", ("12", "121", "12")), ("joint", ("12", "121")), ("rep", ("1221",))],
+)
+def test_each_transfer_builds_one_automaton_from_the_words_alone(monkeypatch, mode, words):
+    words = tuple(map(_letters, words))
+    calls = []
+    automaton = stats._automaton
+
+    def counting(*args):
+        calls.append(args)
+        return automaton(*args)
+
+    monkeypatch.setattr(stats, "_automaton", counting)
+    stats._transfer(mode, 9, words)
+    assert calls == [(words,)]
 
 
 def test_the_brute_walk_keeps_only_its_path():
